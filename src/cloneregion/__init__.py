@@ -11,7 +11,6 @@ from .symgroup import (
     Permutation,
     OrthogonalRep,
     branch_up,
-    partition_stats,
     partitions_of,
     rep_matrix,
     young_orthogonal_rep,
@@ -36,7 +35,6 @@ __all__ = [
     "Permutation",
     "OrthogonalRep",
     "branch_up",
-    "partition_stats",
     "partitions_of",
     "rep_matrix",
     "young_orthogonal_rep",

@@ -39,6 +39,7 @@ from .oracle import (
     special_states,
 )
 from .regions import (
+    N_POINT_CONVENTIONS,
     MembershipOracle,
     build_hull,
     n_point,
@@ -50,10 +51,6 @@ SCHEMA_VERSION = "1.0.0"
 
 IRREPS_N_CAP = 6
 ORACLE_DIM_CAP = 2**18
-
-
-def report_schema_version() -> str:
-    return SCHEMA_VERSION
 
 
 def _atomic_write(path: str, data: str):
@@ -142,10 +139,6 @@ def cmd_region(args) -> int:
 def cmd_hull(args) -> int:
     _require_caps(args)
     dec = decompose(args.n, args.d, args.tol)
-    if dec.clone_count not in (2, 3):
-        raise SystemExit(
-            f"error: exact hulls need 2 or 3 clones (n = 3 or 4), got n = {args.n}"
-        )
     hull = build_hull(dec, args.samples, args.n_point_convention)
     body = {
         "n": args.n,
@@ -229,18 +222,12 @@ def cmd_check(args) -> int:
 def cmd_channels(args) -> int:
     _require_caps(args, need_oracle=True)
     dec = decompose(args.n, args.d, args.tol)
-    hull = (
-        build_hull(dec, 10**4, args.n_point_convention)
-        if dec.clone_count in (2, 3)
-        else None
-    )
-    oracle = MembershipOracle(dec, hull, args.n_point_convention)
+    oracle = MembershipOracle(dec, args.n_point_convention)
     buf = io.StringIO()
     wcsv = csv.writer(buf, lineterminator="\n")
     wcsv.writerow(["seed"] + [f"F_1{k}" for k in range(2, args.n + 1)] + ["verdict"])
-    N = args.n - 1
     for seed in range(args.seed, args.seed + args.samples):
-        ch = haar_isometry(args.d, N, seed)
+        ch = haar_isometry(args.d, args.n - 1, seed)
         F = singlet_fractions(choi_state(ch))
         verdict = oracle.classify(F, args.tol)
         wcsv.writerow([seed] + [repr(float(x)) for x in F] + [verdict])
@@ -289,7 +276,7 @@ def _add_common(p: argparse.ArgumentParser, oracle_cap_note: bool = False):
     p.add_argument(
         "--n-point-convention",
         dest="n_point_convention",
-        choices=("paper_1_over_d", "zero", "product_1_over_d2"),
+        choices=N_POINT_CONVENTIONS,
         default="paper_1_over_d",
         help="where the semi-trivial ideal's fidelity point sits",
     )

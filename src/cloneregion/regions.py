@@ -2,10 +2,11 @@
 
 The admissible set of singlet-fraction tuples (F_12,...,F_1n) is the convex
 hull of the per-block regions { (1/d) <psi| B_{k-1} |psi> : |psi| = 1, real }
-together with the single point (1/d,...,1/d) contributed by the semi-trivial
-ideal.  This module samples the block regions deterministically, evaluates
-the exact support function h(w) via extremal eigenvalues, builds 2D/3D
-convex hulls, and answers membership and constrained-maximization queries.
+together with the single point contributed by the semi-trivial ideal.  This
+module samples the block regions deterministically, builds 2D/3D convex hulls,
+evaluates the exact support function h(w) via extremal eigenvalues, and answers
+membership and constrained-maximization queries by column generation over the
+extreme points that the top eigenvectors give.
 """
 
 from __future__ import annotations
@@ -14,14 +15,18 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog, minimize
+from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 from scipy.special import ndtri
 from scipy.stats import qmc
 
-from .algebra import Decomposition, IrrepBlock
+from .algebra import Decomposition, InconsistencyError, IrrepBlock
 
 N_POINT_CONVENTIONS = ("paper_1_over_d", "zero", "product_1_over_d2")
+MAX_ROUNDS = 200
+# HiGHS at its default 1e-7 feasibility tolerances returns duals too coarse
+# to settle verdicts at 1e-9.
+_HIGHS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 
 
 class InfeasibleError(RuntimeError):
@@ -80,11 +85,7 @@ def _sphere_grid(dim: int, count: int) -> np.ndarray:
                 np.cos(t).ravel(),
             ]
         )
-    return _sphere_low_discrepancy(dim, count)
-
-
-def _sphere_low_discrepancy(dim: int, count: int) -> np.ndarray:
-    """Unscrambled Halton points mapped to the sphere via the normal quantile."""
+    # unscrambled Halton points mapped to the sphere via the normal quantile
     sampler = qmc.Halton(d=dim, scramble=False)
     sampler.fast_forward(1)  # skip the origin
     u = sampler.random(count)
@@ -103,35 +104,33 @@ class RegionSample:
     states: Optional[np.ndarray] = None
 
 
-def sample_block_region(
-    block: IrrepBlock, count: int, scheme: str = "grid"
-) -> RegionSample:
+def sample_block_region(block: IrrepBlock, count: int) -> RegionSample:
     """Deterministic sample of the block's fidelity region.
 
     States live on the real unit sphere of the block dimension: an angle grid
-    for dimension <= 3, a low-discrepancy sequence otherwise (or always, with
-    scheme="low_discrepancy").
+    for dimension <= 3, a low-discrepancy sequence otherwise.
     """
-    if scheme == "grid":
-        states = _sphere_grid(block.dim, count)
-    elif scheme == "low_discrepancy":
-        states = _sphere_low_discrepancy(block.dim, count)
-    else:
-        raise ValueError(f"unknown sampling scheme {scheme!r}")
+    states = _sphere_grid(block.dim, count)
     points = np.empty((states.shape[0], block.clone_count))
     for a, B in enumerate(block.generators):
         points[:, a] = np.einsum("si,ij,sj->s", states, B, states) / block.d
     return RegionSample(source=str(block.alpha.parts), points=points, states=states)
 
 
-def block_support(dec: Decomposition, w: np.ndarray) -> float:
-    """max over blocks of (1/d) lambda_max(sum_k w_k B_k); N-point excluded."""
-    w = np.asarray(w, dtype=float)
-    best = -np.inf
+def _top_block(dec: Decomposition, w: np.ndarray):
+    """(lambda_max, block, M) for the block whose M = sum_k w_k B_k tops the others."""
+    best = (-np.inf, None, None)
     for block in dec.blocks:
         M = sum(w[a] * block.generators[a] for a in range(dec.clone_count))
-        best = max(best, float(np.linalg.eigvalsh(M)[-1]))
-    return best / dec.d
+        top = float(np.linalg.eigvalsh(M)[-1])
+        if top > best[0]:
+            best = (top, block, M)
+    return best
+
+
+def block_support(dec: Decomposition, w: np.ndarray) -> float:
+    """max over blocks of (1/d) lambda_max(sum_k w_k B_k); N-point excluded."""
+    return _top_block(dec, np.asarray(w, dtype=float))[0] / dec.d
 
 
 def support(
@@ -144,6 +143,22 @@ def support(
     hb = block_support(dec, w)
     hn = float(w @ n_point(dec.n, dec.d, convention))
     return max(hb, hn)
+
+
+def extreme_point(
+    dec: Decomposition, w: np.ndarray, convention: str = "paper_1_over_d"
+) -> tuple[np.ndarray, float]:
+    """A point x of the region with <w, x> = h(w), and h(w).
+
+    x is the N-point when that lies furthest along w, otherwise the fidelity
+    vector of the top eigenvector of sum_k w_k B_k in the winning block.
+    """
+    w = np.asarray(w, dtype=float)
+    top, block, M = _top_block(dec, w)
+    npt = n_point(dec.n, dec.d, convention)
+    if w @ npt > top / dec.d:
+        return npt, float(w @ npt)
+    return fidelity_vector(block, np.linalg.eigh(M)[1][:, -1]), top / dec.d
 
 
 def axis_width(dec: Decomposition, u: np.ndarray) -> float:
@@ -171,15 +186,11 @@ class RegionHull:
     facet_offsets: np.ndarray  # normal . x <= offset
     volume: float
 
-    def contains(self, p: np.ndarray, tol: float = 1e-10) -> bool:
-        return bool(np.all(self.facet_normals @ p <= self.facet_offsets + tol))
-
 
 def build_hull(
     dec: Decomposition,
     samples_per_block: int = 10**4,
     convention: str = "paper_1_over_d",
-    scheme: str = "grid",
 ) -> RegionHull:
     """Convex hull of the block samples plus the N-point (2D/3D only)."""
     N = dec.clone_count
@@ -190,7 +201,7 @@ def build_hull(
     pts = []
     srcs = []
     for block in dec.blocks:
-        sample = sample_block_region(block, samples_per_block, scheme)
+        sample = sample_block_region(block, samples_per_block)
         pts.append(sample.points)
         srcs.extend([sample.source] * sample.points.shape[0])
     pts.append(n_point(dec.n, dec.d, convention)[None, :])
@@ -210,89 +221,135 @@ def build_hull(
     )
 
 
-def _direction_set(dec: Decomposition, hull: Optional[RegionHull]) -> np.ndarray:
-    N = dec.clone_count
-    dirs = [np.eye(N), -np.eye(N), np.ones((1, N)) / np.sqrt(N), -np.ones((1, N)) / np.sqrt(N)]
-    if hull is not None:
-        dirs.append(hull.facet_normals)
-    else:
-        dirs.append(_sphere_low_discrepancy(N, 10**4))
-    return np.vstack(dirs)
+def _solve_master(cost: np.ndarray, A_eq: np.ndarray, b_eq: np.ndarray):
+    res = linprog(cost, A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs",
+                  options=_HIGHS)
+    if res.status != 0:
+        raise InconsistencyError(f"master LP failed: {res.message}")
+    return res
 
 
-def _angles_to_dir(t: np.ndarray) -> np.ndarray:
-    if len(t) == 1:
-        return np.array([np.cos(t[0]), np.sin(t[0])])
-    return np.array(
-        [
-            np.sin(t[0]) * np.cos(t[1]),
-            np.sin(t[0]) * np.sin(t[1]),
-            np.cos(t[0]),
-        ]
-    )
+@dataclass(frozen=True)
+class Certificate:
+    """A membership verdict on p, with gauge bounds and the evidence for them.
 
+    direction is the best exact cut: <direction, p> > support(direction) when
+    p is outside.  Otherwise weights @ points = p with extreme points of R.
+    """
 
-def _dir_to_angles(w: np.ndarray) -> np.ndarray:
-    if len(w) == 2:
-        return np.array([np.arctan2(w[1], w[0])])
-    return np.array([np.arccos(np.clip(w[2], -1, 1)), np.arctan2(w[1], w[0])])
+    verdict: str
+    gauge: tuple[float, float]
+    direction: np.ndarray
+    points: Optional[np.ndarray] = None
+    weights: Optional[np.ndarray] = None
 
 
 class MembershipOracle:
-    """Support-function membership tester with precomputed direction supports.
+    """Exact membership queries on one region R by column generation.
 
-    Verdicts are sound for points of the true region: "outside" is certified
-    by an explicit separating direction and the exact support function; a
-    local minimization of the support gap refines near-boundary verdicts.
+    classify brackets the gauge g(p) = min{t >= 0 : p - c in t (R - c)} about
+    the mean c of the initial extreme points, and tol applies to the gauge:
+    "boundary" means |g(p) - 1| <= tol.  Every extreme point, exact cut and
+    optimal LP basis is kept, so a query that they already decide needs no LP.
     """
 
-    def __init__(
-        self,
-        dec: Decomposition,
-        hull: Optional[RegionHull] = None,
-        convention: str = "paper_1_over_d",
-    ):
+    def __init__(self, dec: Decomposition, convention: str = "paper_1_over_d"):
         self.dec = dec
         self.convention = convention
-        self.directions = _direction_set(dec, hull)
-        self.supports = np.array(
-            [support(dec, w, convention) for w in self.directions]
+        N = dec.clone_count
+        seeds = np.vstack([np.eye(N), -np.eye(N), np.ones(N), -np.ones(N)])
+        found = [extreme_point(dec, w, convention) for w in seeds]
+        self.points = np.array([x for x, _ in found])
+        self.seed_count = len(seeds)
+        self.center = self.points.mean(axis=0)
+        self.cuts = np.array([w / (h - w @ self.center) for w, (_, h) in zip(seeds, found)])
+        self.bases = np.empty((0, N, N))  # columns x_j - c of optimal gauge-LP bases
+
+    def _generate(self, master, direction, bound, settle, lower=-np.inf, center=None):
+        """Wentges-smoothed column generation for a minimization over R.
+
+        master() returns the master LP value over self.points and its duals y,
+        priced along direction(y).  bound(y, h) returns the lower bound that y
+        certifies given h = h(direction(y)), and the duals to smooth towards.
+        settle(lower, upper, center) returns the answer or None.
+        """
+        for _ in range(MAX_ROUNDS):
+            upper, y = master()
+            if (answer := settle(lower, upper, center)) is not None:
+                return answer
+            w_lp = direction(y)
+            reach = np.max(self.points @ w_lp)
+            # price at the smoothed duals, and at the LP duals only if that
+            # column cuts off nothing; without the fallback boundary points stall
+            for trial in [y] if center is None else [(center + y) / 2, y]:
+                w = direction(trial)
+                x, h = extreme_point(self.dec, w, self.convention)
+                self.points = np.vstack([self.points, x])
+                if h > w @ self.center:  # false only for w = 0
+                    self.cuts = np.vstack([self.cuts, w / (h - w @ self.center)])
+                value, smoothed = bound(trial, h)
+                if value > lower:
+                    lower, center = value, smoothed
+                if w_lp @ x > reach + 1e-12:
+                    break
+        raise InconsistencyError(f"column generation did not settle in {MAX_ROUNDS} rounds")
+
+    def certify(self, p: np.ndarray, tol: float = 1e-9) -> Certificate:
+        """Verdict on p: exact cuts bound g(p) from below, LP bases from above."""
+        u = np.asarray(p, dtype=float) - self.center
+        j = int(np.argmax(self.cuts @ u))
+        lower, cut = float(self.cuts[j] @ u), self.cuts[j]
+        stored = np.linalg.solve(self.bases, u)  # weights of u on each stored basis
+        totals = np.where(np.all(stored >= 0, axis=1), stored.sum(axis=1), np.inf)
+        best = [np.inf, None, None]  # gauge upper bound, basis columns, their weights
+        if np.any(np.isfinite(totals)):
+            k = int(np.argmin(totals))
+            best = [totals[k], self.bases[k], stored[k]]
+
+        def master():
+            res = _solve_master(np.ones(len(self.points)), (self.points - self.center).T, u)
+            used = res.x > 0
+            best[1:] = (self.points[used] - self.center).T, res.x[used]
+            if used.sum() == len(u):
+                self.bases = np.concatenate([self.bases, [best[1]]])
+            return res.fun, res.eqlin.marginals
+
+        def bound(y, h):
+            cut = y / (h - y @ self.center)
+            return float(cut @ u), cut
+
+        def settle(lower, upper, cut):
+            if lower > 1 + tol:
+                return Certificate("outside", (lower, upper), cut)
+            if upper >= 1 - tol and (lower < 1 - tol or upper > 1 + tol):
+                return None
+            # p = (1 - sum lam) c + sum lam_j x_j, and c is the mean of the seed points
+            cols, lam = best[1:]
+            points = np.vstack([cols.T + self.center, self.points[: self.seed_count]])
+            weights = np.r_[lam, np.full(self.seed_count, (1.0 - lam.sum()) / self.seed_count)]
+            verdict = "inside" if upper < 1 - tol else "boundary"
+            return Certificate(verdict, (lower, upper), cut, points, weights)
+
+        return settle(lower, best[0], cut) or self._generate(
+            master, lambda y: y, bound, settle, lower, cut
         )
 
-    def gap(self, w: np.ndarray) -> float:
-        """h(w) - <w, p> for the current query point (set by classify)."""
-        return support(self.dec, w, self.convention) - float(w @ self._p)
-
-    def classify(self, p: np.ndarray, tol: float = 1e-9, refine: bool = True) -> str:
-        p = np.asarray(p, dtype=float)
-        gaps = self.supports - self.directions @ p
-        j = int(np.argmin(gaps))
-        best = float(gaps[j])
-        if refine and best < 1e-3 and self.dec.clone_count in (2, 3):
-            self._p = p
-            res = minimize(
-                lambda t: self.gap(_angles_to_dir(t)),
-                _dir_to_angles(self.directions[j]),
-                method="Nelder-Mead",
-                options={"xatol": 1e-9, "fatol": 1e-13, "maxiter": 400},
-            )
-            best = min(best, float(res.fun))
-        if best < -tol:
-            return "outside"
-        if best <= tol:
-            return "boundary"
-        return "inside"
+    def classify(self, p: np.ndarray, tol: float = 1e-9) -> str:
+        """The verdict of certify: inside, boundary or outside by g(p) to within tol."""
+        return self.certify(p, tol).verdict
 
 
 def membership(
     dec: Decomposition,
     p: np.ndarray,
     tol: float = 1e-9,
-    hull: Optional[RegionHull] = None,
     convention: str = "paper_1_over_d",
 ) -> str:
-    """Classify a fidelity vector as inside / boundary / outside."""
-    return MembershipOracle(dec, hull, convention).classify(p, tol)
+    """Classify a fidelity vector as inside / boundary / outside.
+
+    tol applies to the gauge g(p) of MembershipOracle: "boundary" means |g(p) - 1| <= tol.
+    """
+    return MembershipOracle(dec, convention).classify(p, tol)
 
 
 def constrained_max(
@@ -300,38 +357,41 @@ def constrained_max(
     objective: np.ndarray,
     constraints: Sequence[tuple[np.ndarray, float]] = (),
     tol: float = 1e-9,
-    hull: Optional[RegionHull] = None,
-    samples_per_block: int = 10**4,
     convention: str = "paper_1_over_d",
 ) -> tuple[float, np.ndarray]:
-    """Maximize <objective, F> over the hull subject to linear equalities.
+    """Maximize <objective, F> over the region subject to a.F = b per (a, b).
 
-    Solved as a linear program over convex combinations of hull vertices.
-    Returns the optimum and an attaining fidelity vector.
+    Column generation for any clone count; returns the optimum and an attaining
+    fidelity vector.  tol bounds the gap to the Lagrangian dual bound
+    h(objective + A^T pi) - pi.b, and the slack that the master LP's slack
+    columns leave on the constraints: more slack means they miss the region.
     """
-    if hull is None:
-        hull = build_hull(dec, samples_per_block, convention)
-    V = hull.vertices  # (m, N)
-    c = -(V @ np.asarray(objective, dtype=float))
-    A_eq = [np.ones(V.shape[0])]
-    b_eq = [1.0]
-    for a, b in constraints:
-        A_eq.append(V @ np.asarray(a, dtype=float))
-        b_eq.append(float(b))
-    res = linprog(
-        c,
-        A_eq=np.vstack(A_eq),
-        b_eq=np.array(b_eq),
-        bounds=(0, None),
-        method="highs",
-    )
-    if not res.success:
-        raise InfeasibleError(f"no hull point satisfies the constraints: {res.message}")
-    point = res.x @ V
-    for a, b in constraints:
-        if abs(point @ np.asarray(a, dtype=float) - b) > max(tol, 1e-7):
-            raise InfeasibleError("LP solution violates an equality constraint")
-    return float(-res.fun), point
+    oracle = MembershipOracle(dec, convention)
+    o = np.asarray(objective, dtype=float)
+    A = np.array([a for a, _ in constraints], dtype=float).reshape(-1, len(o))
+    b = np.array([rhs for _, rhs in constraints], dtype=float)
+    penalty = 1e4 * (1.0 + np.abs(o).sum())
+    slack = np.hstack([np.eye(len(b)), -np.eye(len(b))])
+    state = {}
+
+    def master():
+        X = oracle.points
+        cost = np.r_[-(X @ o), np.full(slack.shape[1], penalty)]
+        A_eq = np.vstack([np.r_[np.ones(len(X)), np.zeros(slack.shape[1])],
+                          np.hstack([A @ X.T, slack])])
+        res = _solve_master(cost, A_eq, np.r_[1.0, b])
+        state.update(point=res.x[: len(X)] @ X, slack=res.x[len(X):].sum())
+        return res.fun, res.eqlin.marginals[1:]
+
+    def settle(lower, upper, pi):
+        if upper - lower > tol:
+            return None
+        if state["slack"] > tol:
+            raise InfeasibleError(f"the constraints miss the region by {state['slack']:.2e}")
+        return float(state["point"] @ o), state["point"]
+
+    return oracle._generate(master, lambda pi: o + A.T @ pi, lambda pi, h: (pi @ b - h, pi),
+                            settle)
 
 
 def constant_point_report(dec: Decomposition, tol: float = 1e-9) -> dict:
@@ -339,27 +399,14 @@ def constant_point_report(dec: Decomposition, tol: float = 1e-9) -> dict:
 
     The constant channel yields (1/d^2,...,1/d^2); whether that point is
     admissible depends on where the semi-trivial ideal's point is placed.
-    Reports verdict and signed margin (max over directions of <w,p> - h(w);
-    positive means outside by that amount) per convention.
+    Reports the verdict and the certified signed margin <w,p> - h(w) along
+    the engine's best unit direction w (positive: outside by at least that).
     """
     p = np.full(dec.clone_count, 1.0 / dec.d**2)
     out = {}
     for convention in N_POINT_CONVENTIONS:
-        oracle = MembershipOracle(dec, hull=None, convention=convention)
-        verdict = oracle.classify(p, tol)
-        gaps = oracle.supports - oracle.directions @ p
-        margin = float(-np.min(gaps))
-        if verdict != "inside" or margin > -1e-3:
-            # refine the margin estimate near the boundary
-            oracle._p = p
-            j = int(np.argmin(gaps))
-            res = minimize(
-                lambda t: oracle.gap(_angles_to_dir(t)),
-                _dir_to_angles(oracle.directions[j]),
-                method="Nelder-Mead",
-                options={"xatol": 1e-9, "fatol": 1e-13, "maxiter": 400},
-            ) if dec.clone_count in (2, 3) else None
-            if res is not None:
-                margin = max(margin, float(-res.fun))
-        out[convention] = {"point": p.tolist(), "verdict": verdict, "margin": margin}
+        cert = MembershipOracle(dec, convention).certify(p, tol)
+        w = cert.direction / np.linalg.norm(cert.direction)
+        margin = float(w @ p - support(dec, w, convention))
+        out[convention] = {"point": p.tolist(), "verdict": cert.verdict, "margin": margin}
     return out

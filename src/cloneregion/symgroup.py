@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -63,15 +62,6 @@ class Partition:
 
     def __repr__(self):
         return f"Partition{self.parts}"
-
-
-class PartitionStats(NamedTuple):
-    height: int
-    dimension: int
-
-
-def partition_stats(alpha: Partition) -> PartitionStats:
-    return PartitionStats(alpha.height, alpha.dimension)
 
 
 def _rev_lex(m: int, cap: int):

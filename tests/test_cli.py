@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cloneregion.cli import main, report_schema_version
+from cloneregion.cli import SCHEMA_VERSION, main
 
 
 def run(capsys, *argv):
@@ -18,7 +18,7 @@ class TestIrreps:
         code, out, _ = run(capsys, "irreps", "--n", "3", "--d", "2")
         assert code == 0
         doc = json.loads(out)
-        assert doc["schema"] == report_schema_version() == "1.0.0"
+        assert doc["schema"] == SCHEMA_VERSION == "1.0.0"
         assert doc["config"]["n"] == 3 and doc["config"]["d"] == 2
         [block] = doc["blocks"]
         assert block["alpha"] == [1]
@@ -40,7 +40,7 @@ class TestRegion:
         code, out, _ = run(capsys, "region", "--n", "3", "--d", "2", "--samples", "16")
         assert code == 0
         doc = json.loads(out)
-        assert doc["schema"] == report_schema_version()
+        assert doc["schema"] == SCHEMA_VERSION
         assert doc["n_point"] == [0.5, 0.5]
         [block] = doc["blocks"]
         assert all(len(p) == 2 for p in block["points"])
@@ -92,6 +92,12 @@ class TestCheck:
         assert "FAIL" not in out
         lines = [ln for ln in out.splitlines() if ln.startswith("[")]
         assert all(ln.startswith("[PASS]") for ln in lines)
+
+    def test_close_block_eigenvalues(self, capsys):
+        # seed 5025 draws a direction with two block eigenvalues 3e-8 apart
+        code, out, _ = run(capsys, "check", "--n", "5", "--d", "4", "--seed", "5025")
+        assert code == 0
+        assert "FAIL" not in out
 
 
 class TestChannels:

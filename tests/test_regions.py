@@ -11,6 +11,7 @@ from cloneregion.regions import (
     build_hull,
     constant_point_report,
     constrained_max,
+    extreme_point,
     fidelity_vector,
     membership,
     n_point,
@@ -90,8 +91,9 @@ class TestSampleBlockRegion:
             )
 
     def test_coordinates_in_range(self):
-        for block in decompose(4, 3).blocks:
-            sample = sample_block_region(block, 500, scheme="low_discrepancy")
+        # blocks of dimension 4 and 8 take the low-discrepancy path
+        for block in decompose(5, 3).blocks:
+            sample = sample_block_region(block, 500)
             assert np.all(sample.points > -1e-12)
             assert np.all(sample.points < 1 + 1e-12)
 
@@ -161,8 +163,6 @@ class TestHull:
     def test_vertices_satisfy_facets(self, hull32):
         slack = hull32.facet_normals @ hull32.vertices.T - hull32.facet_offsets[:, None]
         assert np.max(slack) <= 1e-10
-        for v in hull32.vertices:
-            assert hull32.contains(v, tol=1e-10)
 
     def test_normals_unit(self, hull32):
         np.testing.assert_allclose(
@@ -186,8 +186,8 @@ class TestHull:
         hull = build_hull(dec, 4000)
         assert hull.dim == 3
         assert hull.volume > 0
-        for v in hull.vertices:
-            assert hull.contains(v, tol=1e-10)
+        slack = hull.facet_normals @ hull.vertices.T - hull.facet_offsets[:, None]
+        assert np.max(slack) <= 1e-10
 
     def test_unsupported_dimension(self):
         with pytest.raises(ValueError):
@@ -195,8 +195,8 @@ class TestHull:
 
 
 class TestMembership:
-    def test_named_points(self, dec32, hull32):
-        oracle = MembershipOracle(dec32, hull32)
+    def test_named_points(self, dec32):
+        oracle = MembershipOracle(dec32)
         assert oracle.classify(np.array([0.75, 0.75]), tol=1e-6) == "boundary"
         assert oracle.classify(np.array([0.9, 0.9]), tol=1e-6) == "outside"
         assert oracle.classify(np.array([0.5, 0.5]), tol=1e-6) == "inside"
@@ -207,8 +207,8 @@ class TestMembership:
         verdict = membership(dec, n_point(3, d), tol=1e-9)
         assert verdict in ("inside", "boundary")
 
-    def test_sampled_points_contained(self, dec32, hull32):
-        oracle = MembershipOracle(dec32, hull32)
+    def test_sampled_points_contained(self, dec32):
+        oracle = MembershipOracle(dec32)
         sample = sample_block_region(dec32.blocks[0], 100)
         for p in sample.points:
             assert oracle.classify(p, tol=1e-9) in ("inside", "boundary")
@@ -217,19 +217,60 @@ class TestMembership:
         assert membership(dec32, np.array([0.9, 0.9]), tol=1e-6) == "outside"
         assert membership(dec32, np.array([0.5, 0.5]), tol=1e-6) == "inside"
 
+    @pytest.mark.parametrize("n", [5, 6])
+    @pytest.mark.parametrize("convention", ["paper_1_over_d", "zero"])
+    def test_symmetric_optimum_many_clones(self, n, convention):
+        dec = decompose(n, 3)
+        oracle = MembershipOracle(dec, convention)
+        top = np.full(n - 1, symmetric_max(dec, convention))
+        assert oracle.classify(top, tol=1e-9) == "boundary"
+        assert oracle.classify(1.001 * top, tol=1e-9) == "outside"
+
+
+class TestCertificates:
+    @pytest.mark.parametrize("n,d", [(3, 2), (4, 3), (5, 2)])
+    def test_outside_direction_separates(self, n, d):
+        dec = decompose(n, d)
+        oracle = MembershipOracle(dec)
+        rng = np.random.Generator(np.random.PCG64(n * 10 + d))
+        for _ in range(10):
+            w = rng.normal(size=n - 1)
+            x, _ = extreme_point(dec, w)
+            p = x + 1e-3 * w / np.linalg.norm(w)
+            cert = oracle.certify(p)
+            assert cert.verdict == "outside"
+            assert cert.direction @ p > support(dec, cert.direction)
+
+    @pytest.mark.parametrize("n,d", [(3, 2), (4, 3), (5, 2)])
+    def test_inside_combination_reproduces_point(self, n, d):
+        dec = decompose(n, d)
+        oracle = MembershipOracle(dec)
+        rng = np.random.Generator(np.random.PCG64(n * 10 + d))
+        probes = rng.normal(size=(50, n - 1))
+        for _ in range(10):
+            xs = [extreme_point(dec, w)[0] for w in rng.normal(size=(3, n - 1))]
+            p = 0.9 * np.mean(xs, axis=0) + 0.1 * oracle.center
+            cert = oracle.certify(p)
+            assert cert.verdict == "inside"
+            assert np.all(cert.weights >= 0)
+            assert cert.weights.sum() == pytest.approx(1.0, abs=1e-12)
+            np.testing.assert_allclose(cert.weights @ cert.points, p, atol=1e-9)
+            # every point of the combination lies in the region
+            for x in cert.points:
+                assert all(w @ x <= support(dec, w) + 1e-12 for w in probes)
+
 
 class TestConstrainedMax:
-    def test_unconstrained_axis(self, dec32, hull32):
-        value, point = constrained_max(dec32, np.array([1.0, 0.0]), hull=hull32)
+    def test_unconstrained_axis(self, dec32):
+        value, point = constrained_max(dec32, np.array([1.0, 0.0]))
         assert value == pytest.approx(1.0, abs=1e-6)
         assert point[0] == pytest.approx(1.0, abs=1e-6)
 
-    def test_symmetric_constraint(self, dec32, hull32):
+    def test_symmetric_constraint(self, dec32):
         value, point = constrained_max(
             dec32,
             np.array([1.0, 0.0]),
             constraints=[(np.array([1.0, -1.0]), 0.0)],
-            hull=hull32,
         )
         assert value == pytest.approx(0.75, abs=1e-6)
         np.testing.assert_allclose(point, [0.75, 0.75], atol=1e-6)
@@ -238,12 +279,10 @@ class TestConstrainedMax:
         # maximize F_12 subject to F_12 + F_13 = 2 F_14; the LP value must
         # agree with the Lagrangian dual min_t h(e_1 + t(1,1,-2))
         dec = decompose(4, 3)
-        hull = build_hull(dec, 3 * 10**4)
         value, point = constrained_max(
             dec,
             np.array([1.0, 0.0, 0.0]),
             constraints=[(np.array([1.0, 1.0, -2.0]), 0.0)],
-            hull=hull,
         )
         assert point[0] + point[1] == pytest.approx(2 * point[2], abs=1e-7)
 
@@ -255,13 +294,28 @@ class TestConstrainedMax:
         assert value == pytest.approx(res.fun, abs=1e-3)
         assert value <= res.fun + 1e-9  # weak duality exactly
 
-    def test_infeasible(self, dec32, hull32):
+    def test_four_clones_dual_bound(self):
+        # the same balanced constraint with a fourth, unconstrained clone
+        dec = decompose(5, 3)
+        value, point = constrained_max(
+            dec,
+            np.array([1.0, 0.0, 0.0, 0.0]),
+            constraints=[(np.array([1.0, 1.0, -2.0, 0.0]), 0.0)],
+        )
+        assert point[0] + point[1] == pytest.approx(2 * point[2], abs=1e-9)
+        res = minimize_scalar(
+            lambda t: support(dec, np.array([1.0 + t, t, -2.0 * t, 0.0])),
+            bounds=(-5.0, 5.0), method="bounded", options={"xatol": 1e-10},
+        )
+        assert value == pytest.approx(res.fun, abs=1e-6)
+        assert value == pytest.approx(0.86034708, abs=1e-8)
+
+    def test_infeasible(self, dec32):
         with pytest.raises(InfeasibleError):
             constrained_max(
                 dec32,
                 np.array([1.0, 0.0]),
                 constraints=[(np.array([1.0, 0.0]), 2.0)],
-                hull=hull32,
             )
 
 

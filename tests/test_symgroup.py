@@ -7,7 +7,6 @@ from cloneregion.symgroup import (
     Partition,
     Permutation,
     branch_up,
-    partition_stats,
     partitions_of,
     rep_matrix,
     standard_tableaux,
@@ -29,9 +28,8 @@ class TestPartition:
             Partition(())
 
     def test_stats_examples(self):
-        assert partition_stats(P(2)) == (1, 1)
-        assert partition_stats(P(1, 1)) == (2, 1)
-        assert partition_stats(P(2, 1)) == (2, 2)
+        for alpha, height, dimension in [(P(2), 1, 1), (P(1, 1), 2, 1), (P(2, 1), 2, 2)]:
+            assert (alpha.height, alpha.dimension) == (height, dimension)
 
     def test_hook_lengths_2_1(self):
         assert P(2, 1).hook_lengths() == [[3, 1], [1]]
