@@ -30,13 +30,11 @@ from . import __version__
 from .algebra import decompose, decomposition_to_dict
 from .oracle import (
     InconsistencyError,
-    choi_state,
     clone_fidelity_from_singlet,
     full_vs_block_spectrum,
     haar_isometry,
-    singlet_fractions,
     singlet_from_clone_fidelity,
-    special_states,
+    vector_singlet_fractions,
 )
 from .regions import (
     N_POINT_CONVENTIONS,
@@ -196,7 +194,12 @@ def run_checks(n: int, d: int, tol: float = 1e-9, seed: int = 0) -> list[tuple[s
             ok, detail = False, str(exc)
         add("full vs block spectra (5 random directions)", ok, detail)
 
-        F = singlet_fractions(special_states("classical_clone", n, d))
+        # (1/d) sum_i (|i><i|)^{x n}: the mean over the product vectors |i..i>,
+        # the basis vectors at multiples of step = (d^n - 1)/(d - 1)
+        step = (d**n - 1) // (d - 1)
+        F = np.mean(
+            [vector_singlet_fractions(np.eye(1, d**n, i * step), n, d) for i in range(d)], axis=0
+        )
         dev = float(np.max(np.abs(F - n_point(n, d))))
         add("classical-clone point equals N-point", dev < 1e-12, f"max dev {dev:.2e}")
 
@@ -228,7 +231,7 @@ def cmd_channels(args) -> int:
     wcsv.writerow(["seed"] + [f"F_1{k}" for k in range(2, args.n + 1)] + ["verdict"])
     for seed in range(args.seed, args.seed + args.samples):
         ch = haar_isometry(args.d, args.n - 1, seed)
-        F = singlet_fractions(choi_state(ch))
+        F = vector_singlet_fractions(ch.isometry.T / np.sqrt(args.d), args.n, args.d)
         verdict = oracle.classify(F, args.tol)
         wcsv.writerow([seed] + [repr(float(x)) for x in F] + [verdict])
     _emit(args, buf.getvalue())

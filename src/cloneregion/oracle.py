@@ -4,6 +4,14 @@ Dense permutation operators, partial transposition on the reference leg,
 Choi states of isometry-induced cloning channels, and singlet fractions.
 Everything here is independent of the representation-theoretic pipeline and
 is used to certify it.
+
+The spectrum certifier never forms a d^n x d^n matrix. Every
+X_k = V^{t_1}(1k) conserves, for each colour c, the charge
+q_c = #{legs 2..n equal to c} - [leg 1 = c], so sum_k w_k X_k is built from
+index arithmetic one charge sector at a time and each sector is diagonalized
+densely. SECTOR_DIM_CAP limits the largest sector; the CLI sizes
+(n <= 6, d^n <= 2^18) need at most 720, at n = 6, d = 8. Singlet fractions of
+a pure state come straight from its vector.
 """
 
 from __future__ import annotations
@@ -15,8 +23,8 @@ import numpy as np
 from .algebra import Decomposition, InconsistencyError
 from .symgroup import Permutation
 
-SPECTRUM_DIM_CAP = 2**18
 OPERATOR_DIM_CAP = 2**20
+SECTOR_DIM_CAP = 2**12
 
 
 @dataclass(frozen=True)
@@ -42,7 +50,7 @@ class DenseOperator:
 
 def _check_cap(n: int, d: int, cap: int = OPERATOR_DIM_CAP):
     if d**n > cap:
-        raise ValueError(f"d^n = {d**n} exceeds the dense cap {cap}")
+        raise ValueError(f"d^n = {d**n} exceeds the operator cap {cap}")
 
 
 def perm_operator(sigma: Permutation, n: int, d: int) -> DenseOperator:
@@ -75,6 +83,82 @@ def pt_transposition(k: int, n: int, d: int) -> DenseOperator:
     T = V.reshape([d] * (2 * n))
     T = np.swapaxes(T, 0, n)  # transpose output leg 1 with input leg 1
     return DenseOperator(T.reshape(d**n, d**n), n, d)
+
+
+def sector_blocks(w: np.ndarray, n: int, d: int):
+    """Yield (indices, blocks) of sum_k w_{k-2} V^{t_1}(1k), one charge sector a block.
+
+    X_k = V^{t_1}(1k) sends |i> with i_1 = i_k to sum_a |i with legs 1 and k
+    set to a>, so the sum has (n-1) d^n nonzero entries and no d^n x d^n array
+    is needed. Every X_k conserves q_c = #{legs 2..n equal to c} - [leg 1 = c].
+    A sector with some q_c = -1 (leg 1's colour absent from legs 2..n) lies in
+    the kernel of every X_k and is skipped; on the others q is the multiset of
+    n - 2 colours left on legs 2..n after one copy of leg 1's colour is removed.
+
+    `indices` (m, s) holds the ascending basis indices of m sectors of size s and
+    `blocks` (m, s, s) their dense blocks; sectors come by increasing size, at
+    most SECTOR_DIM_CAP^2 block entries at a time. Raises ValueError if a sector
+    exceeds SECTOR_DIM_CAP, before any block is allocated, and InconsistencyError
+    if an entry joins two sectors.
+    """
+    _check_cap(n, d)
+    w = np.asarray(w, dtype=float)
+    idx = np.arange(d**n)
+    digits = (idx[:, None] // d ** np.arange(n - 1, -1, -1)) % d
+
+    rest = digits[:, 1:].copy()
+    hit = rest == digits[:, :1]
+    rest[idx, hit.argmax(axis=1)] = d  # out of range, so it sorts last and is dropped
+    rest.sort(axis=1)
+    states = np.flatnonzero(hit.any(axis=1))
+    charge = rest[states, :-1] @ d ** np.arange(n - 3, -1, -1)
+    _, sector, sizes = np.unique(charge, return_inverse=True, return_counts=True)
+    if sizes.max() > SECTOR_DIM_CAP:
+        raise ValueError(
+            f"charge sector of size {sizes.max()} exceeds the sector cap {SECTOR_DIM_CAP}"
+        )
+
+    # renumber sectors by size and lay their states out contiguously
+    by_size = np.argsort(sizes, kind="stable")
+    sizes = sizes[by_size]
+    sector = np.argsort(by_size)[sector.reshape(-1)]
+    order = np.argsort(sector, kind="stable")
+    states, sector = states[order], sector[order]
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    sector_of = np.full(d**n, -1)
+    sector_of[states] = sector
+    local_of = np.zeros(d**n, dtype=np.int64)
+    local_of[states] = np.arange(states.size) - starts[sector]
+
+    rows, cols, vals = [], [], []
+    for k in range(2, n + 1):
+        step = d ** (n - 1) + d ** (n - k)  # moves legs 1 and k together by one
+        col = idx[digits[:, 0] == digits[:, k - 1]]
+        base = col - digits[col, 0] * step
+        rows.append((base[:, None] + np.arange(d) * step).reshape(-1))
+        cols.append(np.repeat(col, d))
+        vals.append(np.full(col.size * d, w[k - 2]))
+    rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    entry_sector = sector_of[rows]
+    crossing = entry_sector != sector_of[cols]
+    if np.any(crossing):
+        r, c = rows[crossing][0], cols[crossing][0]
+        raise InconsistencyError(f"entry ({r}, {c}) joins two charge sectors")
+    order = np.argsort(entry_sector, kind="stable")
+    entry_sector, rows, cols, vals = entry_sector[order], rows[order], cols[order], vals[order]
+
+    first = 0
+    while first < sizes.size:
+        s = int(sizes[first])
+        same = first + int(np.searchsorted(sizes[first:], s, side="right"))
+        last = min(same, first + max(1, SECTOR_DIM_CAP**2 // s**2))
+        lo, hi = np.searchsorted(entry_sector, [first, last])
+        flat = (entry_sector[lo:hi] - first) * s + local_of[rows[lo:hi]]
+        flat = flat * s + local_of[cols[lo:hi]]
+        blocks = np.bincount(flat, weights=vals[lo:hi], minlength=(last - first) * s * s)
+        yield (states[starts[first] : starts[last]].reshape(-1, s),
+               blocks.reshape(-1, s, s))
+        first = last
 
 
 def _ptrace_to(rho: np.ndarray, keep: tuple[int, ...], n: int, d: int) -> np.ndarray:
@@ -162,6 +246,18 @@ def singlet_fractions(rho: DenseOperator) -> np.ndarray:
     return out
 
 
+def vector_singlet_fractions(v: np.ndarray, n: int, d: int) -> np.ndarray:
+    """F_1k = sum_rest |sum_a v[a, .., a (at leg k), ..]|^2 / d for a unit vector v.
+
+    Equals singlet_fractions of the pure state |v><v| on (C^d)^{x n} without
+    forming it: O(n d^n) work and no d^n x d^n array.
+    """
+    T = np.asarray(v).reshape([d] * n)
+    return np.array([
+        np.sum(np.abs(np.trace(T, axis1=0, axis2=k - 1)) ** 2) / d for k in range(2, n + 1)
+    ])
+
+
 def clone_fidelity_from_singlet(F: float, d: int) -> float:
     """Average clone fidelity f = (F d + 1)/(d + 1) from a singlet fraction."""
     if not -1e-12 <= F <= 1 + 1e-12:
@@ -216,7 +312,9 @@ def full_vs_block_spectrum(
 ) -> SpectrumReport:
     """Certify the block decomposition along direction w.
 
-    Diagonalizes sum_k w_{k-1} V^{t_1}(1k) on (C^d)^{x n} and
+    Diagonalizes sum_k w_{k-1} V^{t_1}(1k) on (C^d)^{x n}, one sector of the
+    conserved charge q_c = #{legs 2..n equal to c} - [leg 1 = c] at a time
+    (see sector_blocks; ValueError past SECTOR_DIM_CAP), and
     sum_k w_{k-1} B_{k-1} in every block; checks that the nonzero spectra
     coincide and that full multiplicities are integer multiples r(alpha) of
     the block multiplicities.
@@ -225,13 +323,10 @@ def full_vs_block_spectrum(
     w = np.asarray(w, dtype=float)
     if w.shape != (n - 1,) or not np.any(w):
         raise ValueError(f"need a nonzero direction of length {n - 1}")
-    if d**n > SPECTRUM_DIM_CAP:
-        raise ValueError(f"d^n = {d**n} exceeds the spectrum cap {SPECTRUM_DIM_CAP}")
 
-    full = np.zeros((d**n, d**n))
-    for k in range(2, n + 1):
-        full += w[k - 2] * pt_transposition(k, n, d).matrix
-    full_vals = np.linalg.eigvalsh(full)
+    full_vals = np.concatenate(
+        [np.linalg.eigvalsh(blocks).reshape(-1) for _, blocks in sector_blocks(w, n, d)]
+    )
 
     scale = max(1.0, float(np.max(np.abs(full_vals))))
     zero_cut = tol * scale

@@ -99,6 +99,13 @@ class TestCheck:
         assert code == 0
         assert "FAIL" not in out
 
+    def test_past_dense_memory(self, capsys):
+        # d^n = 46656: a dense operator would need 16 GiB
+        code, out, _ = run(capsys, "check", "--n", "6", "--d", "6")
+        assert code == 0
+        assert "27/27 checks passed" in out
+        assert "FAIL" not in out
+
 
 class TestChannels:
     def test_csv_and_determinism(self, capsys):
@@ -114,6 +121,15 @@ class TestChannels:
             assert 0.0 <= float(row[1]) <= 1.0
             assert 0.0 <= float(row[2]) <= 1.0
             assert row[3] in ("inside", "boundary", "outside")
+
+    def test_past_dense_memory(self, capsys):
+        # d^n = 46656: a dense Choi state would need 32 GiB
+        code, out, _ = run(capsys, "channels", "--n", "6", "--d", "6", "--samples", "2")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert [r[0] for r in rows[1:]] == ["0", "1"]
+        for row in rows[1:]:
+            assert all(0.0 <= float(x) <= 1.0 for x in row[1:-1])
 
 
 class TestSymmetric:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cloneregion.algebra import decompose
+from cloneregion import oracle
 from cloneregion.oracle import (
     ChannelSample,
     choi_state,
@@ -11,9 +12,11 @@ from cloneregion.oracle import (
     max_entangled,
     perm_operator,
     pt_transposition,
+    sector_blocks,
     singlet_fractions,
     singlet_from_clone_fidelity,
     special_states,
+    vector_singlet_fractions,
     _ptrace_to,
 )
 from cloneregion.symgroup import Permutation
@@ -94,6 +97,40 @@ class TestPtTransposition:
                     )
 
 
+class TestSectorBlocks:
+    @pytest.mark.parametrize("n,d", [(3, 2), (4, 3), (5, 2), (5, 4)])
+    def test_blocks_restrict_dense_operator(self, n, d):
+        rng = np.random.Generator(np.random.PCG64(7 * n + d))
+        w = rng.normal(size=n - 1)
+        dense = np.zeros((d**n, d**n))
+        for k in range(2, n + 1):
+            dense += w[k - 2] * pt_transposition(k, n, d).matrix
+        digits = (np.arange(d**n)[:, None] // d ** np.arange(n - 1, -1, -1)) % d
+        charge = np.stack([np.sum(digits[:, 1:] == c, axis=1) - (digits[:, 0] == c)
+                           for c in range(d)], axis=1)
+        label = np.full(d**n, -1)
+        for indices, blocks in sector_blocks(w, n, d):
+            for I, B in zip(indices, blocks):
+                np.testing.assert_array_equal(B, dense[np.ix_(I, I)])
+                assert np.all(charge[I] == charge[I[0]])
+                assert np.all(label[I] == -1)  # each state in one sector at most
+                label[I] = label.max() + 1
+        # exactly zero between sectors and on the states no sector holds
+        np.testing.assert_array_equal(dense[label[:, None] != label[None, :]], 0.0)
+        np.testing.assert_array_equal(dense[label == -1], 0.0)
+
+    def test_cap_raises_before_any_eigensolve(self, monkeypatch):
+        def no_eigensolve(*args, **kwargs):
+            raise AssertionError("eigensolve ran before the sector cap check")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
+        with pytest.raises(ValueError, match="48620 exceeds the sector cap"):
+            next(sector_blocks(np.ones(17), 18, 2))  # largest sector C(18, 9)
+        monkeypatch.setattr(oracle, "SECTOR_DIM_CAP", 59)
+        with pytest.raises(ValueError, match="sector cap 59"):
+            full_vs_block_spectrum(decompose(5, 4), np.ones(4))
+
+
 class TestHaarIsometry:
     def test_columns_orthonormal(self):
         for seed in (0, 7, 123):
@@ -161,6 +198,23 @@ class TestSingletFractions:
             rho = choi_state(haar_isometry(2, 3, seed))
             F = singlet_fractions(rho)
             assert np.all(F > -1e-12) and np.all(F < 1 + 1e-12)
+
+
+class TestVectorSingletFractions:
+    @pytest.mark.parametrize("n,d", [(3, 2), (4, 3), (5, 2)])
+    def test_matches_choi_state(self, n, d):
+        for seed in range(5):
+            ch = haar_isometry(d, n - 1, seed)
+            F = vector_singlet_fractions(ch.isometry.T / np.sqrt(d), n, d)
+            np.testing.assert_allclose(F, singlet_fractions(choi_state(ch)), rtol=0, atol=1e-12)
+
+    def test_classical_clone_mixture(self):
+        n, d = 4, 3
+        step = (d**n - 1) // (d - 1)
+        F = np.mean([vector_singlet_fractions(np.eye(1, d**n, i * step), n, d)
+                     for i in range(d)], axis=0)
+        expect = singlet_fractions(special_states("classical_clone", n, d))
+        np.testing.assert_allclose(F, expect, rtol=0, atol=1e-12)
 
 
 class TestSpecialStates:
