@@ -3,15 +3,16 @@
 Subcommands
 -----------
 irreps     emit the block decomposition as JSON
-region     emit sampled per-block fidelity points plus the N-point
+region     emit sampled per-block fidelity points plus the ideal N's origin
 hull       emit the convex hull (vertices + facets)
 check      run the algebra-relation and spectrum-oracle suite
 channels   sample Haar cloning channels, emit fidelity vectors + verdicts
 symmetric  print the symmetric fidelity optimum and the Werner reference
 convert    convert between singlet fraction and clone fidelity
 
-All outputs are deterministic given the flags; files are written atomically
-and carry a schema version plus the generating config.
+Each command takes only the flags it uses. All outputs are deterministic
+given the flags; files are written atomically, and JSON outputs carry a schema
+version, the package versions and the generating config.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import sys
 import tempfile
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .algebra import decompose, decomposition_to_dict
@@ -36,14 +38,7 @@ from .oracle import (
     singlet_from_clone_fidelity,
     vector_singlet_fractions,
 )
-from .regions import (
-    N_POINT_CONVENTIONS,
-    MembershipOracle,
-    build_hull,
-    n_point,
-    sample_block_region,
-    symmetric_max,
-)
+from .regions import MembershipOracle, build_hull, sample_block_region, support, symmetric_max
 
 SCHEMA_VERSION = "1.0.0"
 
@@ -81,7 +76,8 @@ def _envelope(args, body: dict) -> dict:
         for k, v in sorted(vars(args).items())
         if k not in ("func", "out") and v is not None
     }
-    return {"schema": SCHEMA_VERSION, "config": config, **body}
+    versions = {"cloneregion": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
+    return {"schema": SCHEMA_VERSION, "versions": versions, "config": config, **body}
 
 
 def _require_caps(args, need_oracle: bool = False) -> None:
@@ -104,7 +100,7 @@ def cmd_region(args) -> int:
     _require_caps(args)
     dec = decompose(args.n, args.d, args.tol)
     samples = [sample_block_region(b, args.samples) for b in dec.blocks]
-    npt = n_point(args.n, args.d, args.n_point_convention)
+    npt = np.zeros(args.n - 1)  # the semi-trivial ideal's point
     if args.format == "csv":
         buf = io.StringIO()
         wcsv = csv.writer(buf, lineterminator="\n")
@@ -137,7 +133,7 @@ def cmd_region(args) -> int:
 def cmd_hull(args) -> int:
     _require_caps(args)
     dec = decompose(args.n, args.d, args.tol)
-    hull = build_hull(dec, args.samples, args.n_point_convention)
+    hull = build_hull(dec, args.samples)
     body = {
         "n": args.n,
         "d": args.d,
@@ -180,34 +176,41 @@ def run_checks(n: int, d: int, tol: float = 1e-9, seed: int = 0) -> list[tuple[s
         ) and (block.dropped is None or block.dropped.dimension >= 1)
         add(f"{tag}: Q multiplicities match branching dims", mult_ok)
 
-    if d**n <= ORACLE_DIM_CAP:
-        rng = np.random.Generator(np.random.PCG64(seed))
-        ok = True
-        detail = ""
-        try:
-            for _ in range(5):
-                w = rng.normal(size=n - 1)
-                rep = full_vs_block_spectrum(dec, w, tol=1e-8)
-                if rep.max_abs_gap > 1e-8:
-                    ok, detail = False, f"gap {rep.max_abs_gap:.2e}"
-        except InconsistencyError as exc:
-            ok, detail = False, str(exc)
-        add("full vs block spectra (5 random directions)", ok, detail)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    reps = []
+    ok = True
+    detail = ""
+    try:
+        for _ in range(5):
+            reps.append(full_vs_block_spectrum(dec, rng.normal(size=n - 1), tol=1e-8))
+            if reps[-1].max_abs_gap > 1e-8:
+                ok, detail = False, f"gap {reps[-1].max_abs_gap:.2e}"
+    except InconsistencyError as exc:
+        ok, detail = False, str(exc)
+    add("full vs block spectra (5 random directions)", ok, detail)
 
-        # (1/d) sum_i (|i><i|)^{x n}: the mean over the product vectors |i..i>,
-        # the basis vectors at multiples of step = (d^n - 1)/(d - 1)
-        step = (d**n - 1) // (d - 1)
-        F = np.mean(
-            [vector_singlet_fractions(np.eye(1, d**n, i * step), n, d) for i in range(d)], axis=0
-        )
-        dev = float(np.max(np.abs(F - n_point(n, d))))
-        add("classical-clone point equals N-point", dev < 1e-12, f"max dev {dev:.2e}")
+    # the skipped charge sectors are zero, so the full spectrum always holds 0
+    worst = 0.0
+    for rep in reps:
+        top = float(np.max(rep.full_nonzero, initial=0.0)) / d
+        worst = max(worst, abs(support(dec, rep.w) - top) / max(1.0, abs(top)))
+    add("support equals full-space lambda_max/d (5 random directions)",
+        len(reps) == 5 and worst < 1e-8, f"max dev {worst:.2e}")
+
+    # (1/d) sum_i (|i><i|)^{x n}: the mean over the product vectors |i..i>,
+    # the basis vectors at multiples of step = (d^n - 1)/(d - 1)
+    step = (d**n - 1) // (d - 1)
+    F = np.mean(
+        [vector_singlet_fractions(np.eye(1, d**n, i * step), n, d) for i in range(d)], axis=0
+    )
+    dev = float(np.max(np.abs(F - 1.0 / d)))
+    add("classical-clone point equals (1/d, ..., 1/d)", dev < 1e-12, f"max dev {dev:.2e}")
 
     return results
 
 
 def cmd_check(args) -> int:
-    _require_caps(args, need_oracle=False)
+    _require_caps(args, need_oracle=True)
     results = run_checks(args.n, args.d, args.tol, args.seed)
     failed = 0
     lines = []
@@ -225,7 +228,7 @@ def cmd_check(args) -> int:
 def cmd_channels(args) -> int:
     _require_caps(args, need_oracle=True)
     dec = decompose(args.n, args.d, args.tol)
-    oracle = MembershipOracle(dec, args.n_point_convention)
+    oracle = MembershipOracle(dec)
     buf = io.StringIO()
     wcsv = csv.writer(buf, lineterminator="\n")
     wcsv.writerow(["seed"] + [f"F_1{k}" for k in range(2, args.n + 1)] + ["verdict"])
@@ -241,7 +244,7 @@ def cmd_channels(args) -> int:
 def cmd_symmetric(args) -> int:
     _require_caps(args)
     dec = decompose(args.n, args.d, args.tol)
-    F = symmetric_max(dec, args.n_point_convention)
+    F = symmetric_max(dec)
     f = clone_fidelity_from_singlet(F, args.d)
     N, d = args.n - 1, args.d
     werner_F = (N + d - 1) / (N * d)
@@ -265,24 +268,22 @@ def cmd_convert(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser, oracle_cap_note: bool = False):
+# flags beyond --n --d --tol --out, added only to the commands that use them
+_OWN_FLAGS = {
+    "samples": dict(type=int, default=10**4, help="sample count"),
+    "seed": dict(type=int, default=0, help="base RNG seed"),
+    "format": dict(choices=("json", "csv"), default="json", help="output format"),
+}
+
+
+def _add_common(p: argparse.ArgumentParser, own: tuple[str, ...], oracle_cap_note: bool):
     cap = f"; oracle commands need d^n <= {ORACLE_DIM_CAP}" if oracle_cap_note else ""
     p.add_argument("--n", type=int, default=3, help=f"total systems, 3..{IRREPS_N_CAP}{cap}")
     p.add_argument("--d", type=int, default=2, help="local dimension, >= 2")
-    p.add_argument("--samples", type=int, default=10**4, help="sample count")
-    p.add_argument("--seed", type=int, default=0, help="base RNG seed")
     p.add_argument("--tol", type=float, default=1e-9, help="numerical tolerance")
     p.add_argument("--out", type=str, default=None, help="output file (default stdout)")
-    p.add_argument(
-        "--format", choices=("json", "csv"), default="json", help="output format"
-    )
-    p.add_argument(
-        "--n-point-convention",
-        dest="n_point_convention",
-        choices=N_POINT_CONVENTIONS,
-        default="paper_1_over_d",
-        help="where the semi-trivial ideal's fidelity point sits",
-    )
+    for flag in own:
+        p.add_argument(f"--{flag}", **_OWN_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -294,16 +295,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     specs = [
-        ("irreps", cmd_irreps, "emit the block decomposition as JSON"),
-        ("region", cmd_region, "emit sampled fidelity points"),
-        ("hull", cmd_hull, "emit the convex hull of the region"),
-        ("check", cmd_check, "run the certification suite"),
-        ("channels", cmd_channels, "sample Haar channels and classify them"),
-        ("symmetric", cmd_symmetric, "symmetric optimum and Werner reference"),
+        ("irreps", cmd_irreps, "emit the block decomposition as JSON", ()),
+        ("region", cmd_region, "emit sampled fidelity points", ("samples", "format")),
+        ("hull", cmd_hull, "emit the convex hull of the region", ("samples",)),
+        ("check", cmd_check, "run the certification suite", ("seed",)),
+        ("channels", cmd_channels, "sample Haar channels and classify them", ("samples", "seed")),
+        ("symmetric", cmd_symmetric, "symmetric optimum and Werner reference", ()),
     ]
-    for name, func, help_ in specs:
+    for name, func, help_, own in specs:
         p = sub.add_parser(name, help=help_)
-        _add_common(p, oracle_cap_note=(name in ("check", "channels")))
+        _add_common(p, own, oracle_cap_note=(name in ("check", "channels")))
         p.set_defaults(func=func)
 
     p = sub.add_parser("convert", help="singlet fraction <-> clone fidelity")

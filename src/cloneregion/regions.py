@@ -2,7 +2,10 @@
 
 The admissible set of singlet-fraction tuples (F_12,...,F_1n) is the convex
 hull of the per-block regions { (1/d) <psi| B_{k-1} |psi> : |psi| = 1, real }
-together with the single point contributed by the semi-trivial ideal.  This
+together with the origin, the point of the semi-trivial ideal N: every
+fidelity observable V^{t_1}(1k) acts as zero on N.  The support function is
+then (1/d) lambda_max(sum_k w_k V^{t_1}(1k)) on the full space, its zero
+eigenvalues included, as the brute-force oracle confirms.  This
 module samples the block regions deterministically, builds 2D/3D convex hulls,
 evaluates the exact support function h(w) via extremal eigenvalues, and answers
 membership and constrained-maximization queries by column generation over the
@@ -22,7 +25,6 @@ from scipy.stats import qmc
 
 from .algebra import Decomposition, InconsistencyError, IrrepBlock
 
-N_POINT_CONVENTIONS = ("paper_1_over_d", "zero", "product_1_over_d2")
 MAX_ROUNDS = 200
 # HiGHS at its default 1e-7 feasibility tolerances returns duals too coarse
 # to settle verdicts at 1e-9.
@@ -31,26 +33,6 @@ _HIGHS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1
 
 class InfeasibleError(RuntimeError):
     """The constraint set has no solution inside the region."""
-
-
-def n_point(n: int, d: int, convention: str = "paper_1_over_d") -> np.ndarray:
-    """Fidelity vector of the semi-trivial ideal.
-
-    The default places it at (1/d,...,1/d); the alternative conventions
-    (all zeros, or the product-state overlap 1/d^2) are exposed so the three
-    readings can be compared.
-    """
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
-    if convention == "paper_1_over_d":
-        val = 1.0 / d
-    elif convention == "zero":
-        val = 0.0
-    elif convention == "product_1_over_d2":
-        val = 1.0 / d**2
-    else:
-        raise ValueError(f"unknown N-point convention {convention!r}")
-    return np.full(n - 1, val)
 
 
 def fidelity_vector(block: IrrepBlock, psi: np.ndarray) -> np.ndarray:
@@ -129,35 +111,32 @@ def _top_block(dec: Decomposition, w: np.ndarray):
 
 
 def block_support(dec: Decomposition, w: np.ndarray) -> float:
-    """max over blocks of (1/d) lambda_max(sum_k w_k B_k); N-point excluded."""
+    """max over blocks of (1/d) lambda_max(sum_k w_k B_k); the origin excluded."""
     return _top_block(dec, np.asarray(w, dtype=float))[0] / dec.d
 
 
-def support(
-    dec: Decomposition, w: np.ndarray, convention: str = "paper_1_over_d"
-) -> float:
-    """Exact support function h(w) of the admissible region."""
+def support(dec: Decomposition, w: np.ndarray) -> float:
+    """Exact support function h(w) = max(block_support(w), 0) of the admissible region.
+
+    The 0 is the ideal N's point, the origin; h(w) is the full-space
+    (1/d) lambda_max(sum_k w_k V^{t_1}(1k)), whose kernel is never empty.
+    """
     w = np.asarray(w, dtype=float)
     if w.shape != (dec.clone_count,) or not np.any(w):
         raise ValueError(f"need a nonzero direction of length {dec.clone_count}")
-    hb = block_support(dec, w)
-    hn = float(w @ n_point(dec.n, dec.d, convention))
-    return max(hb, hn)
+    return max(block_support(dec, w), 0.0)
 
 
-def extreme_point(
-    dec: Decomposition, w: np.ndarray, convention: str = "paper_1_over_d"
-) -> tuple[np.ndarray, float]:
+def extreme_point(dec: Decomposition, w: np.ndarray) -> tuple[np.ndarray, float]:
     """A point x of the region with <w, x> = h(w), and h(w).
 
-    x is the N-point when that lies furthest along w, otherwise the fidelity
-    vector of the top eigenvector of sum_k w_k B_k in the winning block.
+    x is the origin when every block eigenvalue along w is negative, otherwise
+    the fidelity vector of the top eigenvector of sum_k w_k B_k in the winning block.
     """
     w = np.asarray(w, dtype=float)
     top, block, M = _top_block(dec, w)
-    npt = n_point(dec.n, dec.d, convention)
-    if w @ npt > top / dec.d:
-        return npt, float(w @ npt)
+    if top < 0:
+        return np.zeros(dec.clone_count), 0.0
     return fidelity_vector(block, np.linalg.eigh(M)[1][:, -1]), top / dec.d
 
 
@@ -169,10 +148,10 @@ def axis_width(dec: Decomposition, u: np.ndarray) -> float:
     return block_support(dec, u) + block_support(dec, -u)
 
 
-def symmetric_max(dec: Decomposition, convention: str = "paper_1_over_d") -> float:
+def symmetric_max(dec: Decomposition) -> float:
     """Largest t with (t,...,t) admissible: support along (1,..,1), over N."""
     u = np.ones(dec.clone_count)
-    return support(dec, u, convention) / dec.clone_count
+    return support(dec, u) / dec.clone_count
 
 
 @dataclass(frozen=True)
@@ -187,12 +166,8 @@ class RegionHull:
     volume: float
 
 
-def build_hull(
-    dec: Decomposition,
-    samples_per_block: int = 10**4,
-    convention: str = "paper_1_over_d",
-) -> RegionHull:
-    """Convex hull of the block samples plus the N-point (2D/3D only)."""
+def build_hull(dec: Decomposition, samples_per_block: int = 10**4) -> RegionHull:
+    """Convex hull of the block samples plus the origin, source "N" (2D/3D only)."""
     N = dec.clone_count
     if N not in (2, 3):
         raise ValueError(
@@ -204,7 +179,7 @@ def build_hull(
         sample = sample_block_region(block, samples_per_block)
         pts.append(sample.points)
         srcs.extend([sample.source] * sample.points.shape[0])
-    pts.append(n_point(dec.n, dec.d, convention)[None, :])
+    pts.append(np.zeros((1, N)))
     srcs.append("N")
     pts = np.vstack(pts)
     hull = ConvexHull(pts)
@@ -253,12 +228,11 @@ class MembershipOracle:
     optimal LP basis is kept, so a query that they already decide needs no LP.
     """
 
-    def __init__(self, dec: Decomposition, convention: str = "paper_1_over_d"):
+    def __init__(self, dec: Decomposition):
         self.dec = dec
-        self.convention = convention
         N = dec.clone_count
         seeds = np.vstack([np.eye(N), -np.eye(N), np.ones(N), -np.ones(N)])
-        found = [extreme_point(dec, w, convention) for w in seeds]
+        found = [extreme_point(dec, w) for w in seeds]
         self.points = np.array([x for x, _ in found])
         self.seed_count = len(seeds)
         self.center = self.points.mean(axis=0)
@@ -283,7 +257,7 @@ class MembershipOracle:
             # column cuts off nothing; without the fallback boundary points stall
             for trial in [y] if center is None else [(center + y) / 2, y]:
                 w = direction(trial)
-                x, h = extreme_point(self.dec, w, self.convention)
+                x, h = extreme_point(self.dec, w)
                 self.points = np.vstack([self.points, x])
                 if h > w @ self.center:  # false only for w = 0
                     self.cuts = np.vstack([self.cuts, w / (h - w @ self.center)])
@@ -339,17 +313,12 @@ class MembershipOracle:
         return self.certify(p, tol).verdict
 
 
-def membership(
-    dec: Decomposition,
-    p: np.ndarray,
-    tol: float = 1e-9,
-    convention: str = "paper_1_over_d",
-) -> str:
+def membership(dec: Decomposition, p: np.ndarray, tol: float = 1e-9) -> str:
     """Classify a fidelity vector as inside / boundary / outside.
 
     tol applies to the gauge g(p) of MembershipOracle: "boundary" means |g(p) - 1| <= tol.
     """
-    return MembershipOracle(dec, convention).classify(p, tol)
+    return MembershipOracle(dec).classify(p, tol)
 
 
 def constrained_max(
@@ -357,7 +326,6 @@ def constrained_max(
     objective: np.ndarray,
     constraints: Sequence[tuple[np.ndarray, float]] = (),
     tol: float = 1e-9,
-    convention: str = "paper_1_over_d",
 ) -> tuple[float, np.ndarray]:
     """Maximize <objective, F> over the region subject to a.F = b per (a, b).
 
@@ -366,7 +334,7 @@ def constrained_max(
     h(objective + A^T pi) - pi.b, and the slack that the master LP's slack
     columns leave on the constraints: more slack means they miss the region.
     """
-    oracle = MembershipOracle(dec, convention)
+    oracle = MembershipOracle(dec)
     o = np.asarray(objective, dtype=float)
     A = np.array([a for a, _ in constraints], dtype=float).reshape(-1, len(o))
     b = np.array([rhs for _, rhs in constraints], dtype=float)
@@ -393,20 +361,3 @@ def constrained_max(
     return oracle._generate(master, lambda pi: o + A.T @ pi, lambda pi, h: (pi @ b - h, pi),
                             settle)
 
-
-def constant_point_report(dec: Decomposition, tol: float = 1e-9) -> dict:
-    """Membership of the constant-channel point under all three N-point readings.
-
-    The constant channel yields (1/d^2,...,1/d^2); whether that point is
-    admissible depends on where the semi-trivial ideal's point is placed.
-    Reports the verdict and the certified signed margin <w,p> - h(w) along
-    the engine's best unit direction w (positive: outside by at least that).
-    """
-    p = np.full(dec.clone_count, 1.0 / dec.d**2)
-    out = {}
-    for convention in N_POINT_CONVENTIONS:
-        cert = MembershipOracle(dec, convention).certify(p, tol)
-        w = cert.direction / np.linalg.norm(cert.direction)
-        margin = float(w @ p - support(dec, w, convention))
-        out[convention] = {"point": p.tolist(), "verdict": cert.verdict, "margin": margin}
-    return out

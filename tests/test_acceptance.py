@@ -28,8 +28,6 @@ from cloneregion.oracle import (
 from cloneregion.regions import (
     MembershipOracle,
     axis_width,
-    constant_point_report,
-    n_point,
     support,
     symmetric_max,
 )
@@ -145,32 +143,21 @@ def test_criterion_5_werner_checkpoint():
 
 def test_criterion_6_qubit_regression():
     with criterion(6, "qubit hull boundary points + Haar channel containment", budget=60.0):
-        dec3 = decompose(3, 2)
-        oracle_default = MembershipOracle(dec3)
-        for p in ([0.75, 0.75], [0.25, 0.25], [0.0, 0.75], [0.75, 0.0]):
-            assert oracle_default.classify(np.array(p), tol=1e-6) == "boundary", p
+        oracle3 = MembershipOracle(decompose(3, 2))
+        for p in ([0.75, 0.75], [0.0, 0.0], [0.0, 0.75], [0.75, 0.0]):
+            assert oracle3.classify(np.array(p), tol=1e-6) == "boundary", p
+        # the constant channel's point, at gauge 0.25
+        assert oracle3.classify(np.array([0.25, 0.25]), tol=1e-6) == "inside"
 
-        # Containment of channel fidelity vectors is asserted with the
-        # semi-trivial ideal placed at the origin: on the fidelity observables
-        # that ideal acts as zero, and only under that reading does the region
-        # contain every channel (an explicit channel sending the input through
-        # a spin flip lands at (0, 1/4), below the default hull).  The count
-        # of points falling outside the default 1/d placement is reported.
+        # The semi-trivial ideal sits at the origin, since the fidelity
+        # observables act as zero on it; so every channel is contained, down to
+        # the spin-flip channel at (0, 1/4).
         for n in (3, 4):
-            dec = decompose(n, 2)
-            oracle_zero = MembershipOracle(dec, convention="zero")
-            outside_default = 0
+            oracle = MembershipOracle(decompose(n, 2))
             for seed in range(1000):
                 F = singlet_fractions(choi_state(haar_isometry(2, n - 1, seed)))
-                assert oracle_zero.classify(F, tol=1e-9) in ("inside", "boundary"), (
+                assert oracle.classify(F, tol=1e-9) in ("inside", "boundary"), (
                     n, seed, F.tolist(),
-                )
-                if n == 3:
-                    outside_default += oracle_default.classify(F, tol=1e-9) == "outside"
-            if n == 3:
-                print(
-                    f"  note: {outside_default}/1000 channel points fall below the "
-                    "default 1/d ideal placement (admissible under the zero placement)"
                 )
 
 
@@ -179,7 +166,7 @@ def test_criterion_7_classical_cloning_point():
         for n in (3, 4):
             for d in (2, 3, 4):
                 F = singlet_fractions(special_states("classical_clone", n, d))
-                assert np.max(np.abs(F - n_point(n, d))) < 1e-12
+                assert np.max(np.abs(F - np.full(n - 1, 1 / d))) < 1e-12
 
 
 def test_criterion_8_squeeze_limit():
@@ -207,19 +194,20 @@ def test_criterion_9_perfect_clone_extremes():
 
 
 def test_criterion_10_constant_point_experiment():
-    with criterion(10, "documented experiment: constant channel vs ideal placement"):
+    with criterion(10, "documented experiment: the constant channel is admissible"):
         for n in (3, 4):
             for d in (2, 3, 4):
-                report = constant_point_report(decompose(n, d))
-                assert set(report) == {"paper_1_over_d", "zero", "product_1_over_d2"}
-                print(f"  constant channel, N={n - 1}, d={d}, point 1/d^2 = {1 / d**2:.4f}:")
-                for conv, row in report.items():
-                    print(
-                        f"    {conv:<20} {row['verdict']:<8} margin {row['margin']:+.6f}"
-                    )
-                # the constant channel is a valid channel, so it is admissible
-                # whenever the semi-trivial ideal sits at the origin
-                assert report["zero"]["verdict"] in ("inside", "boundary")
+                dec = decompose(n, d)
+                p = np.full(n - 1, 1 / d**2)
+                cert = MembershipOracle(dec).certify(p)
+                w = cert.direction / np.linalg.norm(cert.direction)
+                margin = float(w @ p - support(dec, w))
+                print(
+                    f"  constant channel, N={n - 1}, d={d}, point 1/d^2 = {1 / d**2:.4f}: "
+                    f"{cert.verdict}, gauge <= {cert.gauge[1]:.6f}, margin {margin:+.6f}"
+                )
+                # the constant channel is a valid channel, strictly inside
+                assert cert.verdict == "inside"
 
 
 if __name__ == "__main__":

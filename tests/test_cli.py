@@ -34,6 +34,24 @@ class TestIrreps:
         _, b, _ = run(capsys, "irreps", "--n", "4", "--d", "2")
         assert a == b
 
+    def test_config_records_only_used_flags(self, capsys):
+        _, out, _ = run(capsys, "irreps", "--n", "3", "--d", "2")
+        doc = json.loads(out)
+        assert set(doc["config"]) == {"command", "n", "d", "tol"}
+        assert set(doc["versions"]) == {"cloneregion", "numpy", "scipy"}
+
+    @pytest.mark.parametrize("argv", [
+        ("irreps", "--format", "csv"),
+        ("irreps", "--samples", "7"),
+        ("symmetric", "--seed", "1"),
+        ("region", "--n-point-convention", "zero"),
+    ])
+    def test_unused_flags_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestRegion:
     def test_json_schema(self, capsys):
@@ -41,7 +59,7 @@ class TestRegion:
         assert code == 0
         doc = json.loads(out)
         assert doc["schema"] == SCHEMA_VERSION
-        assert doc["n_point"] == [0.5, 0.5]
+        assert doc["n_point"] == [0, 0]
         [block] = doc["blocks"]
         assert all(len(p) == 2 for p in block["points"])
 
@@ -58,13 +76,6 @@ class TestRegion:
                 if cell:
                     float(cell)  # plain decimal text, no wrapper reprs
         assert rows[-1][0] == "N"
-
-    def test_convention_flag(self, capsys):
-        _, out, _ = run(
-            capsys, "region", "--n", "3", "--d", "2", "--samples", "4",
-            "--n-point-convention", "zero",
-        )
-        assert json.loads(out)["n_point"] == [0.0, 0.0]
 
 
 class TestHull:
@@ -103,7 +114,7 @@ class TestCheck:
         # d^n = 46656: a dense operator would need 16 GiB
         code, out, _ = run(capsys, "check", "--n", "6", "--d", "6")
         assert code == 0
-        assert "27/27 checks passed" in out
+        assert "28/28 checks passed" in out
         assert "FAIL" not in out
 
 
@@ -168,6 +179,12 @@ class TestArgumentValidation:
     def test_oracle_cap(self, capsys):
         code, _, err = run(capsys, "channels", "--n", "6", "--d", "9", "--samples", "1")
         assert code == 2 and "cap" in err
+
+    def test_check_oracle_cap(self, capsys):
+        # past the cap the oracle rows cannot run, so check refuses the size
+        code, out, err = run(capsys, "check", "--n", "6", "--d", "9")
+        assert code == 2 and "oracle cap 262144" in err
+        assert out == ""
 
 
 class TestOutputFiles:

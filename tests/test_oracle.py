@@ -3,6 +3,7 @@ import pytest
 
 from cloneregion.algebra import decompose
 from cloneregion import oracle
+from cloneregion.regions import support
 from cloneregion.oracle import (
     ChannelSample,
     choi_state,
@@ -129,6 +130,18 @@ class TestSectorBlocks:
         monkeypatch.setattr(oracle, "SECTOR_DIM_CAP", 59)
         with pytest.raises(ValueError, match="sector cap 59"):
             full_vs_block_spectrum(decompose(5, 4), np.ones(4))
+
+
+class TestSupportVsFullSpectrum:
+    @pytest.mark.parametrize("n,d", [(3, 2), (4, 3), (5, 2), (5, 4)])
+    def test_support_is_full_top_eigenvalue(self, n, d):
+        # the skipped sectors are zero, so the full spectrum holds 0
+        dec = decompose(n, d)
+        rng = np.random.Generator(np.random.PCG64(11 * n + d))
+        for _ in range(20):
+            w = rng.normal(size=n - 1)
+            top = max(np.linalg.eigvalsh(blocks).max() for _, blocks in sector_blocks(w, n, d))
+            assert support(dec, w) == pytest.approx(max(0.0, top) / d, abs=1e-12)
 
 
 class TestHaarIsometry:

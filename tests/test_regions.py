@@ -9,12 +9,10 @@ from cloneregion.regions import (
     axis_width,
     block_support,
     build_hull,
-    constant_point_report,
     constrained_max,
     extreme_point,
     fidelity_vector,
     membership,
-    n_point,
     sample_block_region,
     support,
     symmetric_max,
@@ -29,22 +27,6 @@ def dec32():
 @pytest.fixture(scope="module")
 def hull32(dec32):
     return build_hull(dec32, samples_per_block=10**4)
-
-
-class TestNPoint:
-    def test_conventions(self):
-        np.testing.assert_array_equal(n_point(3, 2), [0.5, 0.5])
-        np.testing.assert_array_equal(n_point(4, 3), [1 / 3, 1 / 3, 1 / 3])
-        np.testing.assert_array_equal(n_point(3, 2, "zero"), [0.0, 0.0])
-        np.testing.assert_array_equal(
-            n_point(3, 2, "product_1_over_d2"), [0.25, 0.25]
-        )
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            n_point(2, 2)
-        with pytest.raises(ValueError):
-            n_point(3, 2, "bogus")
 
 
 class TestFidelityVector:
@@ -113,8 +95,8 @@ class TestSupport:
         assert support(dec, np.array([1.0, 0.0])) == pytest.approx(1.0, abs=1e-10)
 
     def test_negative_direction_d2(self, dec32):
-        # block branch -(d-1)/d and N-branch -2/d coincide at -1/2 for d=2
-        assert support(dec32, np.array([-1.0, -1.0])) == pytest.approx(-0.5, abs=1e-10)
+        # the block branch gives -(d-1)/d = -1/2; the origin, the N-point, gives 0
+        assert support(dec32, np.array([-1.0, -1.0])) == pytest.approx(0.0, abs=1e-10)
 
     def test_clone_permutation_symmetry(self):
         dec = decompose(4, 3)
@@ -176,9 +158,9 @@ class TestHull:
     def test_n_point_vertex_at_d4(self):
         dec = decompose(3, 4)
         hull = build_hull(dec, 10**4)
-        # (1/4,1/4) sticks out below the ellipse (symmetric minimum 3/8)
-        i = np.argmin(np.linalg.norm(hull.vertices - 0.25, axis=1))
-        assert np.linalg.norm(hull.vertices[i] - 0.25) < 1e-9
+        # the origin sticks out below the ellipse (symmetric minimum 3/8)
+        i = np.argmin(np.linalg.norm(hull.vertices, axis=1))
+        np.testing.assert_array_equal(hull.vertices[i], [0.0, 0.0])
         assert hull.sources[i] == "N"
 
     def test_3d_hull_builds(self):
@@ -204,8 +186,8 @@ class TestMembership:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_n_point_inside_or_boundary(self, d):
         dec = decompose(3, d)
-        verdict = membership(dec, n_point(3, d), tol=1e-9)
-        assert verdict in ("inside", "boundary")
+        # the N-point is the origin, on the boundary: h(-1, -1) = 0
+        assert membership(dec, np.zeros(2), tol=1e-9) == "boundary"
 
     def test_sampled_points_contained(self, dec32):
         oracle = MembershipOracle(dec32)
@@ -218,11 +200,10 @@ class TestMembership:
         assert membership(dec32, np.array([0.5, 0.5]), tol=1e-6) == "inside"
 
     @pytest.mark.parametrize("n", [5, 6])
-    @pytest.mark.parametrize("convention", ["paper_1_over_d", "zero"])
-    def test_symmetric_optimum_many_clones(self, n, convention):
+    def test_symmetric_optimum_many_clones(self, n):
         dec = decompose(n, 3)
-        oracle = MembershipOracle(dec, convention)
-        top = np.full(n - 1, symmetric_max(dec, convention))
+        oracle = MembershipOracle(dec)
+        top = np.full(n - 1, symmetric_max(dec))
         assert oracle.classify(top, tol=1e-9) == "boundary"
         assert oracle.classify(1.001 * top, tol=1e-9) == "outside"
 
@@ -319,28 +300,12 @@ class TestConstrainedMax:
             )
 
 
-class TestConstantPointReport:
-    def test_d3_coincidence(self):
-        report = constant_point_report(decompose(3, 3))
-        assert set(report) == {"paper_1_over_d", "zero", "product_1_over_d2"}
-        assert report["paper_1_over_d"]["verdict"] == "outside"
-        assert report["paper_1_over_d"]["margin"] > 0
-        assert report["zero"]["verdict"] == "inside"
-        assert report["product_1_over_d2"]["verdict"] == "boundary"
-
-    def test_d2_constant_point_on_block_boundary(self, dec32):
-        report = constant_point_report(dec32)
-        # at d=2 the point (1/4,1/4) touches the two-clone curve itself
-        assert report["paper_1_over_d"]["verdict"] == "boundary"
-        assert report["product_1_over_d2"]["verdict"] == "boundary"
-
-
 class TestBlockSupportVsNPoint:
     def test_block_support_excludes_n_point(self, dec32):
         w = -np.ones(2)
         assert block_support(dec32, w) == pytest.approx(-0.5, abs=1e-10)
         dec4 = decompose(3, 4)
-        # for d=4 the N-branch dominates downward: h includes it, blocks do not
         assert block_support(dec4, w) == pytest.approx(-3 / 4, abs=1e-10)
-        assert support(dec4, w) == pytest.approx(-1 / 2, abs=1e-10)
-        assert support(dec4, w, "zero") == pytest.approx(0.0, abs=1e-10)
+        # the origin, the N-point, dominates downward: h includes it, blocks do not
+        assert support(dec32, w) == pytest.approx(0.0, abs=1e-10)
+        assert support(dec4, w) == pytest.approx(0.0, abs=1e-10)
