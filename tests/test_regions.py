@@ -200,12 +200,24 @@ class TestMembership:
         assert membership(dec32, np.array([0.5, 0.5]), tol=1e-6) == "inside"
 
     @pytest.mark.parametrize("n", [5, 6])
-    def test_symmetric_optimum_many_clones(self, n):
+    @pytest.mark.parametrize(
+        "level,verdict",
+        [
+            pytest.param(1 / 3, "inside", id="paper_1_over_d"),
+            pytest.param(0.0, "boundary", id="zero"),
+        ],
+    )
+    def test_symmetric_optimum_many_clones(self, n, level, verdict):
+        # the symmetric axis from a candidate N-point (1/d or the origin) up
+        # to the optimum lies in R; the optimum is set by the blocks alone
         dec = decompose(n, 3)
         oracle = MembershipOracle(dec)
         top = np.full(n - 1, symmetric_max(dec))
+        low = np.full(n - 1, level)
         assert oracle.classify(top, tol=1e-9) == "boundary"
         assert oracle.classify(1.001 * top, tol=1e-9) == "outside"
+        assert oracle.classify(low, tol=1e-9) == verdict
+        assert oracle.classify((low + top) / 2, tol=1e-9) == "inside"
 
 
 class TestCertificates:
