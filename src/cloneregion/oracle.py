@@ -10,8 +10,10 @@ X_k = V^{t_1}(1k) conserves, for each colour c, the charge
 q_c = #{legs 2..n equal to c} - [leg 1 = c], so sum_k w_k X_k is built from
 index arithmetic one charge sector at a time and each sector is diagonalized
 densely. SECTOR_DIM_CAP limits the largest sector; the CLI sizes
-(n <= 6, d^n <= 2^18) need at most 720, at n = 6, d = 8. Singlet fractions of
-a pure state come straight from its vector.
+(n <= 6, d^n <= 2^18) need at most 720, at n = 6, d = 8. Mixed Schur-Weyl
+duality repeats block alpha r(alpha) = s_alpha(1^d) times and leaves the rest
+of those sectors zero, so one sorted comparison certifies the blocks, with
+nothing fitted. Singlet fractions of a pure state come from its vector.
 """
 
 from __future__ import annotations
@@ -298,88 +300,43 @@ def special_states(kind: str, n: int, d: int, j: int | None = None) -> DenseOper
 
 @dataclass
 class SpectrumReport:
-    """Result of comparing full-space and block spectra in one direction w."""
+    """Full-space spectrum in one direction w against the one the blocks predict."""
 
     w: np.ndarray
-    full_nonzero: np.ndarray
-    block_eigenvalues: dict
+    full: np.ndarray
+    predicted: np.ndarray
     r: dict
     max_abs_gap: float
 
 
-def full_vs_block_spectrum(
-    dec: Decomposition, w: np.ndarray, tol: float = 1e-8
-) -> SpectrumReport:
+def full_vs_block_spectrum(dec: Decomposition, w: np.ndarray) -> SpectrumReport:
     """Certify the block decomposition along direction w.
 
-    Diagonalizes sum_k w_{k-1} V^{t_1}(1k) on (C^d)^{x n}, one sector of the
-    conserved charge q_c = #{legs 2..n equal to c} - [leg 1 = c] at a time
-    (see sector_blocks; ValueError past SECTOR_DIM_CAP), and
-    sum_k w_{k-1} B_{k-1} in every block; checks that the nonzero spectra
-    coincide and that full multiplicities are integer multiples r(alpha) of
-    the block multiplicities.
+    Diagonalizes sum_k w_{k-1} V^{t_1}(1k) on (C^d)^{x n} one charge sector at
+    a time (see sector_blocks; ValueError past SECTOR_DIM_CAP) and compares the
+    sorted result with the blocks' prediction: the spectrum of
+    sum_k w_{k-1} B_{k-1} in block alpha, repeated r(alpha) = s_alpha(1^d)
+    times, padded with zeros.
     """
     n, d = dec.n, dec.d
     w = np.asarray(w, dtype=float)
     if w.shape != (n - 1,) or not np.any(w):
         raise ValueError(f"need a nonzero direction of length {n - 1}")
 
-    full_vals = np.concatenate(
+    full = np.sort(np.concatenate(
         [np.linalg.eigvalsh(blocks).reshape(-1) for _, blocks in sector_blocks(w, n, d)]
-    )
-
-    scale = max(1.0, float(np.max(np.abs(full_vals))))
-    zero_cut = tol * scale
-    full_nonzero = full_vals[np.abs(full_vals) > zero_cut]
-
-    # distinct block eigenvalues with per-block multiplicities
-    block_vals = {}
-    for block in dec.blocks:
-        M = sum(w[a] * block.generators[a] for a in range(n - 1))
-        vals = np.linalg.eigvalsh(M)
-        block_vals[block.alpha] = vals[np.abs(vals) > zero_cut]
-
-    distinct = []
-    for vals in block_vals.values():
-        for v in vals:
-            if not any(abs(v - u) <= zero_cut for u in distinct):
-                distinct.append(float(v))
-    distinct = np.sort(distinct)
-
-    # full multiplicities per distinct value
-    gaps = np.abs(full_nonzero[:, None] - distinct[None, :])
-    unmatched = full_nonzero[gaps.min(axis=1) > zero_cut]
-    if len(unmatched):
-        raise InconsistencyError(f"full-space eigenvalue {unmatched[0]} unmatched by any block")
-    full_mult = np.bincount(gaps.argmin(axis=1), minlength=len(distinct))
-
-    # the worst distance from a full eigenvalue to the nearest block eigenvalue;
-    # clustering may merge distinct block eigenvalues, so measure against them all
-    all_block = np.concatenate(list(block_vals.values()))
-    to_block = np.abs(full_nonzero[:, None] - all_block[None, :]).min(axis=1)
-    max_gap = float(np.max(to_block, initial=0.0))
-
-    # solve full_mult = sum_alpha r_alpha * block_mult_alpha for integer r
-    A = np.zeros((len(distinct), len(dec.blocks)))
-    for c, block in enumerate(dec.blocks):
-        for v in block_vals[block.alpha]:
-            A[int(np.argmin(np.abs(distinct - v))), c] += 1
-    sol, *_ = np.linalg.lstsq(A, full_mult, rcond=None)
-    r = {}
-    for c, block in enumerate(dec.blocks):
-        rc = float(sol[c])
-        if abs(rc - round(rc)) > 1e-6 or round(rc) < 1:
-            raise InconsistencyError(
-                f"multiplicity ratio r({block.alpha}) = {rc} is not a positive integer"
-            )
-        r[block.alpha] = int(round(rc))
-    if np.any(A @ np.array([r[b.alpha] for b in dec.blocks]) != full_mult):
-        raise InconsistencyError("block multiplicities do not reproduce full spectrum")
-
+    ))
+    r = {b.alpha: b.alpha.unitary_dimension(d) for b in dec.blocks}
+    predicted = np.concatenate([
+        np.tile(np.linalg.eigvalsh(sum(x * B for x, B in zip(w, b.generators))), r[b.alpha])
+        for b in dec.blocks
+    ])
+    if predicted.size > full.size:
+        raise InconsistencyError(
+            f"blocks hold {predicted.size} states, the kept sectors only {full.size}"
+        )
+    predicted = np.sort(np.concatenate([predicted, np.zeros(full.size - predicted.size)]))
     return SpectrumReport(
-        w=w,
-        full_nonzero=np.sort(full_nonzero),
-        block_eigenvalues={a: np.sort(v) for a, v in block_vals.items()},
-        r=r,
-        max_abs_gap=max_gap,
+        w=w, full=full, predicted=predicted, r=r,
+        max_abs_gap=float(np.max(np.abs(full - predicted), initial=0.0)),
     )

@@ -60,6 +60,15 @@ class Partition:
         assert rem == 0
         return dim
 
+    def unitary_dimension(self, d: int) -> int:
+        """Dimension s_alpha(1^d) of the U(d) irrep (hook content rule); 0 if height > d."""
+        num = den = 1
+        for i, row in enumerate(self.hook_lengths()):
+            for j, h in enumerate(row):
+                num *= d + j - i
+                den *= h
+        return num // den  # the cell (d, 0) contributes 0 when height > d
+
     def __repr__(self):
         return f"Partition{self.parts}"
 

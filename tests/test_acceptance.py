@@ -118,7 +118,7 @@ def test_criterion_4_spectrum_oracle():
             rng = np.random.Generator(np.random.PCG64(n * 100 + d))
             seen_r = None
             for _ in range(20):
-                rep = full_vs_block_spectrum(dec, rng.normal(size=n - 1), tol=1e-8)
+                rep = full_vs_block_spectrum(dec, rng.normal(size=n - 1))
                 assert rep.max_abs_gap < 1e-8
                 r = {a.parts: v for a, v in rep.r.items()}
                 assert all(isinstance(v, int) and v >= 1 for v in r.values())

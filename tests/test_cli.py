@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from cloneregion import __version__
 from cloneregion.cli import SCHEMA_VERSION, main
 
 
@@ -47,10 +48,12 @@ class TestIrreps:
         ("region", "--n-point-convention", "zero"),
     ])
     def test_unused_flags_rejected(self, capsys, argv):
-        with pytest.raises(SystemExit) as exc:
-            main(list(argv))
-        assert exc.value.code == 2
+        assert main(list(argv)) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_version_returns_zero(self, capsys):
+        assert main(["--version"]) == 0
+        assert capsys.readouterr().out.strip() == __version__
 
 
 class TestRegion:
@@ -103,6 +106,7 @@ class TestCheck:
         assert "FAIL" not in out
         lines = [ln for ln in out.splitlines() if ln.startswith("[")]
         assert all(ln.startswith("[PASS]") for ln in lines)
+        assert "max gap" in out
 
     def test_close_block_eigenvalues(self, capsys):
         # seed 5025 draws a direction with two block eigenvalues 3e-8 apart

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from cloneregion.algebra import decompose
+from cloneregion.algebra import InconsistencyError, decompose
 from cloneregion import oracle
 from cloneregion.regions import support
 from cloneregion.oracle import (
@@ -282,14 +284,14 @@ class TestFullVsBlockSpectrum:
     def test_n3_d2_symmetric_direction(self):
         dec = decompose(3, 2)
         rep = full_vs_block_spectrum(dec, np.array([1.0, 1.0]))
-        np.testing.assert_allclose(np.sort(rep.full_nonzero), [1, 1, 3, 3], atol=1e-9)
+        np.testing.assert_allclose(rep.full, [0, 0, 1, 1, 3, 3], atol=1e-9)
         assert rep.r == {dec.blocks[0].alpha: 2}
         assert rep.max_abs_gap < 1e-9
 
     def test_single_clone_direction(self):
         dec = decompose(3, 3)
         rep = full_vs_block_spectrum(dec, np.array([1.0, 0.0]))
-        np.testing.assert_allclose(rep.full_nonzero, [3.0, 3.0, 3.0], atol=1e-9)
+        np.testing.assert_allclose(rep.full, [0.0] * 12 + [3.0, 3.0, 3.0], atol=1e-9)
 
     @pytest.mark.parametrize(
         "n,d,expect",
@@ -315,3 +317,24 @@ class TestFullVsBlockSpectrum:
         dec = decompose(3, 2)
         with pytest.raises(ValueError):
             full_vs_block_spectrum(dec, np.zeros(2))
+
+    @pytest.mark.parametrize("n,d", [(4, 3), (5, 4)])
+    def test_rejects_broken_decomposition(self, n, d):
+        dec = decompose(n, d)
+        w = np.ones(n - 1)
+        assert full_vs_block_spectrum(dec, w).max_abs_gap < 1e-8
+        first = dec.blocks[0]
+        scaled = dataclasses.replace(
+            first, generators=(first.generators[0] * (1 + 1e-6),) + tuple(first.generators[1:])
+        )
+        broken = {
+            "dropped": dec.blocks[1:],
+            "duplicated": dec.blocks + dec.blocks[:1],
+            "scaled": (scaled,) + dec.blocks[1:],
+        }
+        for name, blocks in broken.items():
+            try:
+                gap = full_vs_block_spectrum(dataclasses.replace(dec, blocks=blocks), w).max_abs_gap
+            except InconsistencyError:
+                continue
+            assert gap > 1e-8, name

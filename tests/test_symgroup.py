@@ -39,6 +39,21 @@ class TestPartition:
             total = sum(a.dimension**2 for a in partitions_of(m))
             assert total == math.factorial(m)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_unitary_dimension_examples(self, d):
+        assert P(1).unitary_dimension(d) == d
+        assert P(2).unitary_dimension(d) == d * (d + 1) // 2
+        assert P(1, 1).unitary_dimension(d) == d * (d - 1) // 2
+        assert P(*[1] * (d + 1)).unitary_dimension(d) == 0
+        assert P(3, 2, *[1] * (d - 1)).unitary_dimension(d) == 0
+
+    def test_unitary_dimension_schur_weyl(self):
+        # (C^d)^{x m} = sum_alpha phi^alpha x U(d)-irrep alpha
+        for m in range(1, 8):
+            for d in range(1, 6):
+                total = sum(a.dimension * a.unitary_dimension(d) for a in partitions_of(m))
+                assert total == d**m
+
 
 class TestPartitionsOf:
     def test_small(self):
