@@ -12,10 +12,17 @@ irrep of S(n-2) is eigendecomposed, and the generator matrices
 partially transposed transpositions in the reduced basis.  Each B_a is real
 symmetric and satisfies B_a^2 = d B_a, tr B_a = d dim(alpha-irrep).
 
-The eigenvector basis of each degenerate eigenvalue cluster is canonicalized
-(RQ factorization of the bottom rows with positive diagonal) so that built
-blocks land on the same basis as the explicit small-n matrices up to column
-signs.
+The spectrum of Q(alpha) is known exactly (Studzinski, Horodecki and
+Mozrzymas, J. Phys. A 46, 395303 (2013)): each nu = alpha + box contributes
+the eigenvalue d + c(nu/alpha), c the content of the added box, with
+multiplicity dim psi^nu.  The eigenvectors are labeled by this prediction.
+
+Each degenerate eigenspace is canonicalized (RQ factorization of its bottom
+rows with positive diagonal) only where that bottom square is nonsingular.
+That holds at n <= 4, so those blocks match the explicit small-n matrices up
+to column signs.  Past n = 4 the square is often singular (1 of 5
+multi-column eigenspaces at n = 5, d = 4; 12 of 15 at n = 7, d = 4), and such
+an eigenspace keeps the arbitrary basis that eigh returns.
 """
 
 from __future__ import annotations
@@ -113,15 +120,10 @@ def build_Q(alpha: Partition, n: int, d: int) -> QMatrix:
     return QMatrix(alpha, n, d, Q)
 
 
-def _cluster_descending(vals: np.ndarray, gap: float) -> list[slice]:
-    """Group a descending array into clusters separated by more than `gap`."""
-    slices = []
-    start = 0
-    for i in range(1, len(vals) + 1):
-        if i == len(vals) or vals[i - 1] - vals[i] > gap:
-            slices.append(slice(start, i))
-            start = i
-    return slices
+def _added_content(alpha: Partition, nu: Partition) -> int:
+    """Content (column - row) of the box that nu = alpha + box adds."""
+    i = next(i for i, p in enumerate(nu.parts) if i >= alpha.height or p > alpha.parts[i])
+    return nu.parts[i] - 1 - i
 
 
 def _canonicalize_cluster(block: np.ndarray) -> np.ndarray:
@@ -129,9 +131,9 @@ def _canonicalize_cluster(block: np.ndarray) -> np.ndarray:
 
     Rotates the eigenvector columns so that the bottom square of the column
     block is upper triangular with positive diagonal (RQ factorization); a
-    1-column cluster just gets its dominant entry made positive.  The result
-    is unique for generic input, which pins down the otherwise arbitrary
-    basis inside each eigenvalue cluster.
+    1-column eigenspace just gets its dominant entry made positive.  When the
+    bottom square is singular the block is returned unchanged, in whatever
+    basis eigh produced; this never happens at n <= 4 but often past it.
     """
     rows, c = block.shape
     if c == 1:
@@ -151,18 +153,20 @@ def _canonicalize_cluster(block: np.ndarray) -> np.ndarray:
 class IrrepBlock:
     """One irreducible block of the ideal carrying partitions of n-2.
 
-    eigenvalues/labels/multiplicities describe the distinct kept eigenvalues
-    of Q(alpha) in descending order; Z holds the kept eigenvector columns;
-    generators[a-1] is the image B_a of the partially transposed
-    transposition pairing clone a+1 with the reference.
+    labels are the kept branchings nu of alpha in branch_up order, with the
+    exact eigenvalues d + c(nu/alpha) of Q(alpha), each of multiplicity
+    dim psi^nu; spectrum_gap is the largest deviation of the computed spectrum
+    from them.  Z holds the kept eigenvector columns; generators[a-1] is the
+    image B_a of the partially transposed transposition pairing clone a+1
+    with the reference.
     """
 
     alpha: Partition
     n: int
     d: int
     eigenvalues: tuple[float, ...]
-    multiplicities: tuple[int, ...]
     labels: tuple[Partition, ...]
+    spectrum_gap: float
     Z: np.ndarray
     generators: tuple[np.ndarray, ...]
     dropped: Optional[Partition]
@@ -182,73 +186,57 @@ class IrrepBlock:
 
     def eigenvalues_full(self) -> np.ndarray:
         """Kept eigenvalues with multiplicity, descending."""
-        return np.repeat(self.eigenvalues, self.multiplicities)
+        return np.repeat(self.eigenvalues, [nu.dimension for nu in self.labels])
 
 
-def build_block(alpha: Partition, n: int, d: int, tol: float = 1e-9) -> IrrepBlock:
+def build_block(alpha: Partition, n: int, d: int) -> IrrepBlock:
     """Eigendecompose Q(alpha) and form the reduced-basis generator matrices.
 
-    Eigenvalues below tol*d are dropped (at most one distinct such value may
-    occur) and the dropped branching label is recorded.  Distinct eigenvalue
-    clusters are matched, in descending order, against the single-box
-    branchings of alpha; a multiplicity mismatch raises InconsistencyError.
+    The descending eigenvectors are sliced by dim psi^nu in branch_up order,
+    which is descending content, so slice nu spans the eigenspace of
+    d + c(nu/alpha).  The nu of height d + 1 carries eigenvalue 0 and is
+    recorded as dropped.  Distinct predicted eigenvalues lie at least 1
+    apart, so the labels are unambiguous while the computed spectrum stays
+    within 1/2 of the prediction; past that InconsistencyError is raised.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     Q = build_Q(alpha, n, d)
-    w = Q.dim_phi
     vals, vecs = np.linalg.eigh(Q.entries)
     vals, vecs = vals[::-1], vecs[:, ::-1]  # descending
-    if vals[-1] < -1e-10 * d:
-        raise InconsistencyError(f"negative eigenvalue {vals[-1]} of Q({alpha})")
-
-    slices = _cluster_descending(vals, 1e-6 * d)
     nus = branch_up(alpha)
-    if len(slices) != len(nus):
+    dims = [nu.dimension for nu in nus]
+    eigs = [float(d + _added_content(alpha, nu)) for nu in nus]
+    spectrum_gap = float(np.max(np.abs(vals - np.repeat(eigs, dims))))
+    if not spectrum_gap < 0.5:
         raise InconsistencyError(
-            f"Q({alpha}) at n={n}, d={d}: {len(slices)} eigenvalue clusters "
-            f"vs {len(nus)} branchings"
+            f"Q({alpha}) at n={n}, d={d}: spectrum deviates by {spectrum_gap:.3g} "
+            "from d + c(nu/alpha), so its eigenspaces cannot be labeled"
         )
 
-    eigenvalues, mults, labels = [], [], []
-    kept_cols = []
+    eigenvalues, labels, kept_cols = [], [], []
     dropped = None
-    for sl, nu in zip(slices, nus):
-        mult = sl.stop - sl.start
-        if mult != nu.dimension:
-            raise InconsistencyError(
-                f"Q({alpha}) at n={n}, d={d}: eigenvalue {vals[sl.start]:.6g} has "
-                f"multiplicity {mult}, expected dim psi^{nu} = {nu.dimension}"
-            )
-        lam = float(np.mean(vals[sl]))
-        if lam < tol * d:
-            if dropped is not None:
-                raise InconsistencyError(
-                    f"Q({alpha}) at n={n}, d={d}: more than one zero eigenvalue"
-                )
+    for nu, lam, cols in zip(nus, eigs, np.split(vecs, np.cumsum(dims)[:-1], axis=1)):
+        if nu.height > d:
             dropped = nu
             continue
         eigenvalues.append(lam)
-        mults.append(mult)
         labels.append(nu)
-        kept_cols.append(_canonicalize_cluster(vecs[:, sl]))
+        kept_cols.append(_canonicalize_cluster(cols))
 
+    # B_a = Y_a^T Y_a with Y_a = Z_a sqrt(L), Z_a the rows of coset a
     Z = np.hstack(kept_cols)
-    lam_full = np.repeat(eigenvalues, mults)
-    sqrt_lam = np.sqrt(lam_full)
+    sqrt_lam = np.sqrt(np.repeat(eigenvalues, [nu.dimension for nu in labels]))
     generators = []
-    for a in range(1, n):
-        Za = Z[(a - 1) * w : a * w, :]
-        B = (Za.T @ Za) * np.outer(sqrt_lam, sqrt_lam)
-        generators.append(B)
+    for Za in Z.reshape(n - 1, Q.dim_phi, -1):
+        Ya = Za * sqrt_lam
+        generators.append(Ya.T @ Ya)
 
     return IrrepBlock(
         alpha=alpha,
         n=n,
         d=d,
         eigenvalues=tuple(eigenvalues),
-        multiplicities=tuple(mults),
         labels=tuple(labels),
+        spectrum_gap=spectrum_gap,
         Z=Z,
         generators=tuple(generators),
         dropped=dropped,
@@ -276,8 +264,8 @@ class Decomposition:
         return self.n - 1
 
 
-def decompose(n: int, d: int, tol: float = 1e-9) -> Decomposition:
-    blocks = tuple(build_block(a, n, d, tol) for a in admissible_M_irreps(n, d))
+def decompose(n: int, d: int) -> Decomposition:
+    blocks = tuple(build_block(a, n, d) for a in admissible_M_irreps(n, d))
     return Decomposition(n, d, blocks, tuple(admissible_N_irreps(n, d)))
 
 
@@ -386,7 +374,7 @@ def block_to_dict(block: IrrepBlock) -> dict:
     return {
         "alpha": list(block.alpha.parts),
         "eigenvalues": list(block.eigenvalues),
-        "multiplicities": list(block.multiplicities),
+        "multiplicities": [nu.dimension for nu in block.labels],
         "labels": [list(nu.parts) for nu in block.labels],
         "dim": block.dim,
         "generators": [g.tolist() for g in block.generators],

@@ -91,14 +91,14 @@ def _require_caps(args, need_oracle: bool = False) -> None:
 
 def cmd_irreps(args) -> int:
     _require_caps(args)
-    dec = decompose(args.n, args.d, args.tol)
+    dec = decompose(args.n, args.d)
     _emit(args, _envelope(args, decomposition_to_dict(dec)))
     return 0
 
 
 def cmd_region(args) -> int:
     _require_caps(args)
-    dec = decompose(args.n, args.d, args.tol)
+    dec = decompose(args.n, args.d)
     samples = [sample_block_region(b, args.samples) for b in dec.blocks]
     npt = np.zeros(args.n - 1)  # the semi-trivial ideal's point
     if args.format == "csv":
@@ -132,7 +132,7 @@ def cmd_region(args) -> int:
 
 def cmd_hull(args) -> int:
     _require_caps(args)
-    dec = decompose(args.n, args.d, args.tol)
+    dec = decompose(args.n, args.d)
     hull = build_hull(dec, args.samples)
     body = {
         "n": args.n,
@@ -151,14 +151,14 @@ def cmd_hull(args) -> int:
     return 0
 
 
-def run_checks(n: int, d: int, tol: float = 1e-9, seed: int = 0) -> list[tuple[str, bool, str]]:
+def run_checks(n: int, d: int, seed: int = 0) -> list[tuple[str, bool, str]]:
     """Full certification suite for one (n, d); returns (name, ok, detail) rows."""
     results = []
 
     def add(name, ok, detail=""):
         results.append((name, bool(ok), detail))
 
-    dec = decompose(n, d, tol)
+    dec = decompose(n, d)
     for block in dec.blocks:
         tag = f"alpha={block.alpha.parts}"
         worst_rel = worst_sym = worst_tr = 0.0
@@ -171,10 +171,8 @@ def run_checks(n: int, d: int, tol: float = 1e-9, seed: int = 0) -> list[tuple[s
         add(f"{tag}: tr B = d dim_phi", worst_tr < 1e-10, f"max dev {worst_tr:.2e}")
         zdev = float(np.max(np.abs(block.Z.T @ block.Z - np.eye(block.dim))))
         add(f"{tag}: Z orthogonal", zdev < 1e-12, f"max dev {zdev:.2e}")
-        mult_ok = all(
-            m == nu.dimension for m, nu in zip(block.multiplicities, block.labels)
-        ) and (block.dropped is None or block.dropped.dimension >= 1)
-        add(f"{tag}: Q multiplicities match branching dims", mult_ok)
+        gap = block.spectrum_gap
+        add(f"{tag}: Q spectrum equals d + c(nu/alpha)", gap <= 1e-10 * d, f"max dev {gap:.2e}")
 
     rng = np.random.Generator(np.random.PCG64(seed))
     reps = []
@@ -209,7 +207,7 @@ def run_checks(n: int, d: int, tol: float = 1e-9, seed: int = 0) -> list[tuple[s
 
 def cmd_check(args) -> int:
     _require_caps(args, need_oracle=True)
-    results = run_checks(args.n, args.d, args.tol, args.seed)
+    results = run_checks(args.n, args.d, args.seed)
     failed = 0
     lines = []
     for name, ok, detail in results:
@@ -225,7 +223,7 @@ def cmd_check(args) -> int:
 
 def cmd_channels(args) -> int:
     _require_caps(args, need_oracle=True)
-    dec = decompose(args.n, args.d, args.tol)
+    dec = decompose(args.n, args.d)
     oracle = MembershipOracle(dec)
     buf = io.StringIO()
     wcsv = csv.writer(buf, lineterminator="\n")
@@ -241,7 +239,7 @@ def cmd_channels(args) -> int:
 
 def cmd_symmetric(args) -> int:
     _require_caps(args)
-    dec = decompose(args.n, args.d, args.tol)
+    dec = decompose(args.n, args.d)
     F = symmetric_max(dec)
     f = clone_fidelity_from_singlet(F, args.d)
     N, d = args.n - 1, args.d
@@ -266,8 +264,9 @@ def cmd_convert(args) -> int:
     return 0
 
 
-# flags beyond --n --d --tol --out, added only to the commands that use them
+# flags beyond --n --d --out, added only to the commands that use them
 _OWN_FLAGS = {
+    "tol": dict(type=float, default=1e-9, help="membership tolerance"),
     "samples": dict(type=int, default=10**4, help="sample count"),
     "seed": dict(type=int, default=0, help="base RNG seed"),
     "format": dict(choices=("json", "csv"), default="json", help="output format"),
@@ -278,7 +277,6 @@ def _add_common(p: argparse.ArgumentParser, own: tuple[str, ...], oracle_cap_not
     cap = f"; oracle commands need d^n <= {ORACLE_DIM_CAP}" if oracle_cap_note else ""
     p.add_argument("--n", type=int, default=3, help=f"total systems, 3..{IRREPS_N_CAP}{cap}")
     p.add_argument("--d", type=int, default=2, help="local dimension, >= 2")
-    p.add_argument("--tol", type=float, default=1e-9, help="numerical tolerance")
     p.add_argument("--out", type=str, default=None, help="output file (default stdout)")
     for flag in own:
         p.add_argument(f"--{flag}", **_OWN_FLAGS[flag])
@@ -297,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("region", cmd_region, "emit sampled fidelity points", ("samples", "format")),
         ("hull", cmd_hull, "emit the convex hull of the region", ("samples",)),
         ("check", cmd_check, "run the certification suite", ("seed",)),
-        ("channels", cmd_channels, "sample Haar channels and classify them", ("samples", "seed")),
+        ("channels", cmd_channels, "sample Haar channels and classify them", ("samples", "seed", "tol")),
         ("symmetric", cmd_symmetric, "symmetric optimum and Werner reference", ()),
     ]
     for name, func, help_, own in specs:

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from cloneregion import algebra
 from cloneregion.algebra import (
+    InconsistencyError,
     admissible_M_irreps,
     admissible_N_irreps,
     blocks_equivalent,
@@ -98,16 +100,10 @@ class TestBuildBlock:
         for alpha in admissible_M_irreps(n, d):
             block = build_block(alpha, n, d)
             Q = build_Q(alpha, n, d)
-            # multiplicities match the branching dimensions
-            kept = list(zip(block.multiplicities, block.labels))
             expected = branch_up(alpha)
             if block.dropped is not None:
                 assert block.dropped in expected
-            assert [nu for _, nu in kept] == [
-                nu for nu in expected if nu != block.dropped
-            ]
-            for mult, nu in kept:
-                assert mult == nu.dimension
+            assert list(block.labels) == [nu for nu in expected if nu != block.dropped]
             # Z diagonalizes Q with the kept eigenvalues
             np.testing.assert_allclose(
                 block.Z.T @ block.Z, np.eye(block.dim), atol=1e-12
@@ -159,9 +155,31 @@ class TestBuildBlock:
             B = build_block(P(1), 3, d).generators
             assert np.trace(B[0] @ B[1]) == pytest.approx(1.0, abs=1e-10)
 
-    def test_invalid_tol(self):
-        with pytest.raises(ValueError):
-            build_block(P(1), 3, 2, tol=0.0)
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_eigenvalues_are_exact_contents(self, n, d):
+        def content(p):
+            return sum(j - i for i, row in enumerate(p.parts) for j in range(row))
+
+        for alpha in admissible_M_irreps(n, d):
+            block = build_block(alpha, n, d)
+            expect = [float(d + content(nu) - content(alpha)) for nu in block.labels]
+            assert list(block.eigenvalues) == expect
+            assert all(nu.height <= d for nu in block.labels)
+            assert (block.dropped is not None) == (alpha.height == d)
+            assert block.spectrum_gap <= 1e-10 * d
+
+    def test_unlabelable_spectrum_raises(self, monkeypatch):
+        # predicted eigenvalues lie 1 apart; a shift of 3/4 leaves no label
+        original = algebra.build_Q
+
+        def shifted(alpha, n, d):
+            Q = original(alpha, n, d)
+            return algebra.QMatrix(alpha, n, d, Q.entries + 0.75 * np.eye(len(Q.entries)))
+
+        monkeypatch.setattr(algebra, "build_Q", shifted)
+        with pytest.raises(InconsistencyError, match="cannot be labeled"):
+            build_block(P(2, 1), 5, 3)
 
 
 class TestCloneObservable:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -5,7 +6,7 @@ import json
 import pytest
 
 from cloneregion import __version__
-from cloneregion.cli import SCHEMA_VERSION, main
+from cloneregion.cli import SCHEMA_VERSION, build_parser, main
 
 
 def run(capsys, *argv):
@@ -38,7 +39,7 @@ class TestIrreps:
     def test_config_records_only_used_flags(self, capsys):
         _, out, _ = run(capsys, "irreps", "--n", "3", "--d", "2")
         doc = json.loads(out)
-        assert set(doc["config"]) == {"command", "n", "d", "tol"}
+        assert set(doc["config"]) == {"command", "n", "d"}
         assert set(doc["versions"]) == {"cloneregion", "numpy", "scipy"}
 
     @pytest.mark.parametrize("argv", [
@@ -46,6 +47,11 @@ class TestIrreps:
         ("irreps", "--samples", "7"),
         ("symmetric", "--seed", "1"),
         ("region", "--n-point-convention", "zero"),
+        ("irreps", "--tol", "1e-6"),
+        ("region", "--tol", "1e-6"),
+        ("hull", "--tol", "1e-6"),
+        ("check", "--tol", "1e-6"),
+        ("symmetric", "--tol", "1e-6"),
     ])
     def test_unused_flags_rejected(self, capsys, argv):
         assert main(list(argv)) == 2
@@ -173,7 +179,7 @@ class TestArgumentValidation:
         assert code == 2 and "n >= 3" in err
 
     def test_bad_tol(self, capsys):
-        code, _, _ = run(capsys, "irreps", "--n", "3", "--d", "2", "--tol", "0")
+        code, _, _ = run(capsys, "channels", "--n", "3", "--d", "2", "--tol", "0")
         assert code == 2
 
     def test_irreps_cap(self, capsys):
@@ -210,3 +216,36 @@ class TestOutputFiles:
         capsys.readouterr()
         assert path.exists()
         assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
+
+
+class TestEveryFlagIsUsed:
+    """Each flag a command accepts is read by that command."""
+
+    @pytest.mark.parametrize("runs", [
+        [("irreps",)],
+        [("region", "--samples", "8")],
+        [("hull", "--samples", "64")],
+        [("check",)],
+        [("channels", "--samples", "2")],
+        [("symmetric",)],
+        [("convert", "--singlet", "0.75"), ("convert", "--clone-fidelity", "0.8")],
+    ])
+    def test_accepted_flags_are_read(self, capsys, runs):
+        reads, used, accepted = set(), set(), set()
+
+        class Recording(argparse.Namespace):
+            def __getattribute__(self, name):
+                if not name.startswith("_"):
+                    reads.add(name)
+                return super().__getattribute__(name)
+
+        for argv in runs:
+            size = () if argv[0] == "convert" else ("--n", "3")
+            args = build_parser().parse_args([*argv, *size, "--d", "2"], namespace=Recording())
+            func = args.func
+            reads.clear()  # argparse itself probes the namespace while parsing
+            assert func(args) == 0
+            used |= reads
+            accepted |= set(vars(args)) - {"command", "func"}
+        capsys.readouterr()
+        assert accepted - used == set()
