@@ -3,26 +3,28 @@
 For n systems of local dimension d, the algebra spanned by permutation
 operators with a partial transpose on one tensor leg splits into two ideals.
 The nontrivial one is resolved into irreducible blocks labeled by partitions
-alpha of n-2: a Gram-like matrix Q(alpha) built from the Young orthogonal
-irrep of S(n-2) is eigendecomposed, and the generator matrices
+alpha of n-2.  Block alpha acts on the kept branchings nu = alpha + box of
+height <= d, in the Young basis of S(n-1); the partially transposed
+transpositions are represented there by
 
-    B_a = sqrt(L) Z^T P_a Z sqrt(L),      a = 1..n-1,
+    B_a = Y_a^T Y_a,      a = 1..n-1,
 
-(P_a the projector onto coset-row a of the Q index space) represent the
-partially transposed transpositions in the reduced basis.  Each B_a is real
-symmetric and satisfies B_a^2 = d B_a, tr B_a = d dim(alpha-irrep).
+each real symmetric with B_a^2 = d B_a and tr B_a = d dim(alpha-irrep).
 
-The spectrum of Q(alpha) is known exactly (Studzinski, Horodecki and
-Mozrzymas, J. Phys. A 46, 395303 (2013)): each nu = alpha + box contributes
-the eigenvalue d + c(nu/alpha), c the content of the added box, with
-multiplicity dim psi^nu.  The eigenvectors are labeled by this prediction.
+The factors Y_a are known in closed form (Studzinski, Horodecki and
+Mozrzymas, J. Phys. A 46, 395303 (2013); Mozrzymas, Studzinski and
+Horodecki, J. Phys. A 51, 125202 (2018)).  With m = n-1, phi the Young
+orthogonal form of alpha and psi that of the direct sum of the kept nu,
+Y_m maps tableau T of alpha to the tableau T + m of nu (m in the box
+nu/alpha) with weight sqrt((d + c(nu/alpha)) dim psi^nu / (m dim phi)),
+c the content of the added box; then Y_{m-1} = Y_m psi(s_{m-1}) and
+Y_a = phi(s_a) Y_{a+1} psi(s_a).  Every step is a sparse gather.
 
-Each degenerate eigenspace is canonicalized (RQ factorization of its bottom
-rows with positive diagonal) only where that bottom square is nonsingular.
-That holds at n <= 4, so those blocks match the explicit small-n matrices up
-to column signs.  Past n = 4 the square is often singular (1 of 5
-multi-column eigenspaces at n = 5, d = 4; 12 of 15 at n = 7, d = 4), and such
-an eigenspace keeps the arbitrary basis that eigh returns.
+The Gram-like matrix Q(alpha), evaluated from phi alone, certifies
+the closed form: stacking the Y_a (coset m twisted by phi(s_1) for n >= 4,
+as in build_Q) gives Y Y^T = Q(alpha), and sum_a B_a = diag(d + c(nu/alpha)).
+So Y is a factor of Q whose columns span its eigenspaces with the exact
+eigenvalues, in the canonical Young basis at every n.
 """
 
 from __future__ import annotations
@@ -31,16 +33,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import rq
 
-from .symgroup import (
-    Partition,
-    Permutation,
-    branch_up,
-    partitions_of,
-    rep_matrix,
-    young_orthogonal_rep,
-)
+from .symgroup import Partition, branch_up, partitions_of, young_orthogonal_rep
 
 
 class InconsistencyError(RuntimeError):
@@ -83,7 +77,7 @@ class QMatrix:
 
 
 def build_Q(alpha: Partition, n: int, d: int) -> QMatrix:
-    """Assemble Q(alpha) by evaluating the Young orthogonal irrep of S(n-2).
+    """Assemble Q(alpha) from the Young orthogonal irrep phi of S(n-2).
 
     Block (a, b) is d^{delta_ab} phi^alpha[g_a^-1 (a b) g_b] with coset
     representatives g_a = (a, n-1).  The representative of the last coset is
@@ -92,61 +86,37 @@ def build_Q(alpha: Partition, n: int, d: int) -> QMatrix:
     reduced-basis generator matrices unchanged) and makes the off-diagonal
     blocks for a != b equal to phi evaluated on odd permutations throughout,
     matching the sign convention of the published small-n matrices.
+
+    Hence block (a, b) is phi((a b)) for a != b < n-1, computed as
+    phi((a, b+1)) = phi(s_b) phi((a b)) phi(s_b) by sparse gathers, and the
+    blocks pairing a coset with the last one are phi(s_1) (I at n = 3).
     """
     if alpha.size != n - 2:
         raise ValueError(f"{alpha} does not partition n-2 = {n - 2}")
     if alpha.height > d:
         raise ValueError(f"{alpha} has height {alpha.height} > d = {d}")
-    rep = young_orthogonal_rep(alpha)
-    w = rep.dim
+    phi = young_orthogonal_rep(alpha)
+    w = phi.dim
     m = n - 1
-
-    def rep_of_coset(a: int) -> Permutation:
-        if a == m and n >= 4:
-            return Permutation.transposition(1, 2, m)
-        return Permutation.transposition(a, m, m)
-
+    eye = np.eye(w)
     Q = np.zeros((m * w, m * w))
-    for a in range(1, m + 1):
-        for b in range(1, m + 1):
-            ga = rep_of_coset(a)  # involutions, so g^-1 = g
-            gb = rep_of_coset(b)
-            tab = Permutation.transposition(a, b, m)
-            word = ga.compose(tab).compose(gb)  # fixes n-1, lies in S(n-2)
-            block = rep_matrix(rep, word.restrict(n - 2))
-            if a == b:
-                block = d * block
-            Q[(a - 1) * w : a * w, (b - 1) * w : b * w] = block
+    blocks = Q.reshape(m, w, m, w).swapaxes(1, 2)  # blocks[a-1, b-1] is a view
+    for a in range(1, m):
+        blocks[a - 1, a - 1] = d * eye
+        X = eye
+        for b in range(a, m - 1):  # X = phi((a, b+1))
+            X = phi.left(b, X) if b == a else phi.right(phi.left(b, X), b)
+            blocks[a - 1, b] = blocks[b, a - 1] = X
+    last = phi.left(1, eye) if n >= 4 else eye
+    blocks[m - 1, :m - 1] = blocks[:m - 1, m - 1] = last
+    blocks[m - 1, m - 1] = d * eye
     return QMatrix(alpha, n, d, Q)
 
 
-def _added_content(alpha: Partition, nu: Partition) -> int:
-    """Content (column - row) of the box that nu = alpha + box adds."""
+def _added_box(alpha: Partition, nu: Partition) -> tuple[int, int]:
+    """(row, column) of the box that nu = alpha + box adds."""
     i = next(i for i, p in enumerate(nu.parts) if i >= alpha.height or p > alpha.parts[i])
-    return nu.parts[i] - 1 - i
-
-
-def _canonicalize_cluster(block: np.ndarray) -> np.ndarray:
-    """Fix the basis of a degenerate eigenspace.
-
-    Rotates the eigenvector columns so that the bottom square of the column
-    block is upper triangular with positive diagonal (RQ factorization); a
-    1-column eigenspace just gets its dominant entry made positive.  When the
-    bottom square is singular the block is returned unchanged, in whatever
-    basis eigh produced; this never happens at n <= 4 but often past it.
-    """
-    rows, c = block.shape
-    if c == 1:
-        k = int(np.argmax(np.abs(block[:, 0])))
-        return block * np.sign(block[k, 0])
-    L = block[rows - c :, :]
-    if abs(np.linalg.det(L)) < 1e-12:
-        return block
-    R, O = rq(L)
-    out = block @ O.T
-    signs = np.sign(np.diag(R))
-    signs[signs == 0] = 1.0
-    return out * signs
+    return i, nu.parts[i] - 1
 
 
 @dataclass(frozen=True)
@@ -155,10 +125,9 @@ class IrrepBlock:
 
     labels are the kept branchings nu of alpha in branch_up order, with the
     exact eigenvalues d + c(nu/alpha) of Q(alpha), each of multiplicity
-    dim psi^nu; spectrum_gap is the largest deviation of the computed spectrum
-    from them.  Z holds the kept eigenvector columns; generators[a-1] is the
-    image B_a of the partially transposed transposition pairing clone a+1
-    with the reference.
+    dim psi^nu; gram_residual is max |Y Y^T - Q(alpha)| / d for the closed-form
+    factor Y.  generators[a-1] is the image B_a of the partially transposed
+    transposition pairing clone a+1 with the reference.
     """
 
     alpha: Partition
@@ -166,15 +135,14 @@ class IrrepBlock:
     d: int
     eigenvalues: tuple[float, ...]
     labels: tuple[Partition, ...]
-    spectrum_gap: float
-    Z: np.ndarray
+    gram_residual: float
     generators: tuple[np.ndarray, ...]
     dropped: Optional[Partition]
 
     @property
     def dim(self) -> int:
         """Block dimension = rank Q(alpha)."""
-        return self.Z.shape[1]
+        return sum(nu.dimension for nu in self.labels)
 
     @property
     def dim_phi(self) -> int:
@@ -190,55 +158,55 @@ class IrrepBlock:
 
 
 def build_block(alpha: Partition, n: int, d: int) -> IrrepBlock:
-    """Eigendecompose Q(alpha) and form the reduced-basis generator matrices.
+    """Build the generators B_a = Y_a^T Y_a from the closed-form factors Y_a.
 
-    The descending eigenvectors are sliced by dim psi^nu in branch_up order,
-    which is descending content, so slice nu spans the eigenspace of
-    d + c(nu/alpha).  The nu of height d + 1 carries eigenvalue 0 and is
-    recorded as dropped.  Distinct predicted eigenvalues lie at least 1
-    apart, so the labels are unambiguous while the computed spectrum stays
-    within 1/2 of the prediction; past that InconsistencyError is raised.
+    The nu of height d + 1 carries eigenvalue 0 and is recorded as dropped.
+    The factor is certified against build_Q: InconsistencyError is raised
+    unless max |Y Y^T - Q(alpha)| <= 1e-8 d.
     """
-    Q = build_Q(alpha, n, d)
-    vals, vecs = np.linalg.eigh(Q.entries)
-    vals, vecs = vals[::-1], vecs[:, ::-1]  # descending
+    m = n - 1
+    phi = young_orthogonal_rep(alpha)
+    w = phi.dim
     nus = branch_up(alpha)
-    dims = [nu.dimension for nu in nus]
-    eigs = [float(d + _added_content(alpha, nu)) for nu in nus]
-    spectrum_gap = float(np.max(np.abs(vals - np.repeat(eigs, dims))))
-    if not spectrum_gap < 0.5:
+    labels = [nu for nu in nus if nu.height <= d]
+    dropped = next((nu for nu in nus if nu.height > d), None)
+    psis = [young_orthogonal_rep(nu) for nu in labels]
+    spans = np.cumsum([0] + [psi.dim for psi in psis])
+    boxes = [_added_box(alpha, nu) for nu in labels]
+    eigenvalues = [float(d + col - row) for row, col in boxes]
+
+    # Y_m has one entry per (T, nu), in column (nu, T + m).  The tableaux of nu
+    # with m in the box nu/alpha are the T + m, in the order of the T.
+    Y = np.zeros((w, spans[-1]))
+    for psi, (row, _), lam, start in zip(psis, boxes, eigenvalues, spans):
+        grown = start + np.flatnonzero(psi.words[:, -1] == row)
+        Y[np.arange(w), grown] = np.sqrt(lam * psi.dim / (m * w))
+    factors = [Y]
+    for a in range(m - 1, 0, -1):  # psi is block diagonal over the kept nu
+        Y = np.hstack([psi.right(Y[:, i:j], a) for psi, i, j in zip(psis, spans, spans[1:])])
+        if a < m - 1:
+            Y = phi.left(a, Y)
+        factors.append(Y)
+    factors.reverse()  # factors[a-1] = Y_a
+    generators = tuple(Ya.T @ Ya for Ya in factors)
+
+    stacked = np.vstack(factors[:-1] + [phi.left(1, factors[-1]) if n >= 4 else factors[-1]])
+    gram = stacked @ stacked.T
+    gram -= build_Q(alpha, n, d).entries
+    gram_residual = float(np.max(np.abs(gram))) / d
+    if not gram_residual <= 1e-8:
         raise InconsistencyError(
-            f"Q({alpha}) at n={n}, d={d}: spectrum deviates by {spectrum_gap:.3g} "
-            "from d + c(nu/alpha), so its eigenspaces cannot be labeled"
+            f"Q({alpha}) at n={n}, d={d}: the closed-form factor misses Y Y^T = Q "
+            f"by {gram_residual:.3g} d"
         )
-
-    eigenvalues, labels, kept_cols = [], [], []
-    dropped = None
-    for nu, lam, cols in zip(nus, eigs, np.split(vecs, np.cumsum(dims)[:-1], axis=1)):
-        if nu.height > d:
-            dropped = nu
-            continue
-        eigenvalues.append(lam)
-        labels.append(nu)
-        kept_cols.append(_canonicalize_cluster(cols))
-
-    # B_a = Y_a^T Y_a with Y_a = Z_a sqrt(L), Z_a the rows of coset a
-    Z = np.hstack(kept_cols)
-    sqrt_lam = np.sqrt(np.repeat(eigenvalues, [nu.dimension for nu in labels]))
-    generators = []
-    for Za in Z.reshape(n - 1, Q.dim_phi, -1):
-        Ya = Za * sqrt_lam
-        generators.append(Ya.T @ Ya)
-
     return IrrepBlock(
         alpha=alpha,
         n=n,
         d=d,
         eigenvalues=tuple(eigenvalues),
         labels=tuple(labels),
-        spectrum_gap=spectrum_gap,
-        Z=Z,
-        generators=tuple(generators),
+        gram_residual=gram_residual,
+        generators=generators,
         dropped=dropped,
     )
 

@@ -169,10 +169,10 @@ def run_checks(n: int, d: int, seed: int = 0) -> list[tuple[str, bool, str]]:
         add(f"{tag}: B^2 = d B", worst_rel < 1e-10, f"max dev {worst_rel:.2e}")
         add(f"{tag}: B symmetric", worst_sym < 1e-10, f"max dev {worst_sym:.2e}")
         add(f"{tag}: tr B = d dim_phi", worst_tr < 1e-10, f"max dev {worst_tr:.2e}")
-        zdev = float(np.max(np.abs(block.Z.T @ block.Z - np.eye(block.dim))))
-        add(f"{tag}: Z orthogonal", zdev < 1e-12, f"max dev {zdev:.2e}")
-        gap = block.spectrum_gap
-        add(f"{tag}: Q spectrum equals d + c(nu/alpha)", gap <= 1e-10 * d, f"max dev {gap:.2e}")
+        sdev = float(np.max(np.abs(sum(block.generators) - np.diag(block.eigenvalues_full()))))
+        add(f"{tag}: sum_a B_a = diag(d + c(nu/alpha))", sdev <= 1e-10 * d, f"max dev {sdev:.2e}")
+        gdev = block.gram_residual * d
+        add(f"{tag}: Q(alpha) = Y Y^T", gdev <= 1e-10 * d, f"max dev {gdev:.2e}")
 
     rng = np.random.Generator(np.random.PCG64(seed))
     reps = []

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -173,16 +173,52 @@ class Permutation:
         return swaps[::-1]
 
 
+def _tableau_words(alpha: Partition) -> np.ndarray:
+    """Row-index words of the standard tableaux of shape alpha, lexicographically.
+
+    Row k of the result gives, for each letter 1..m, the (0-based) row that
+    holds it.  Words grow one letter at a time; np.nonzero enumerates the
+    extensions by (prefix, row), which keeps the list in lexicographic order.
+    """
+    parts = np.array(alpha.parts)
+    words = np.zeros((1, 0), dtype=np.int64)
+    counts = np.zeros((1, len(parts)), dtype=np.int64)
+    for _ in range(alpha.size):
+        room = counts < parts
+        room[:, 1:] &= counts[:, 1:] < counts[:, :-1]
+        prefix, row = np.nonzero(room)
+        words = np.hstack([words[prefix], row[:, None]])
+        counts = counts[prefix]
+        counts[np.arange(len(row)), row] += 1
+    return words
+
+
+def standard_tableaux(alpha: Partition) -> list[tuple[tuple[int, ...], ...]]:
+    """Standard Young tableaux of shape alpha, ordered by their row-index word."""
+    letters = np.arange(1, alpha.size + 1)
+    return [
+        tuple(tuple(int(k) for k in letters[word == r]) for r in range(alpha.height))
+        for word in _tableau_words(alpha)
+    ]
+
+
 @dataclass(frozen=True)
 class OrthogonalRep:
     """Young orthogonal form irrep of S(m) for m = size of the partition.
 
-    `matrices[i-1]` is the image of the adjacent transposition s_i = (i, i+1);
-    each is real symmetric orthogonal.
+    Basis vector k is the standard tableau whose row-index word is words[k].
+    The image of s_i = (i, i+1) is stored sparsely in row i-1 of diag, partner
+    and off: column k has diag[k] = 1/r on the diagonal (r the axial distance
+    from i to i+1) and off[k] = sqrt(1 - 1/r^2) in row partner[k], the tableau
+    with i and i+1 swapped (partner[k] = k and off[k] = 0 when |r| = 1).
+    Each image is real, symmetric and orthogonal.
     """
 
     partition: Partition
-    matrices: tuple[np.ndarray, ...]
+    words: np.ndarray
+    diag: np.ndarray
+    partner: np.ndarray
+    off: np.ndarray
 
     @property
     def degree(self) -> int:
@@ -190,37 +226,28 @@ class OrthogonalRep:
 
     @property
     def dim(self) -> int:
-        return self.partition.dimension
+        return len(self.words)
 
+    @cached_property
+    def matrices(self) -> tuple[np.ndarray, ...]:
+        """Dense images of s_1, ..., s_{m-1}."""
+        k = np.arange(self.dim)
+        mats = []
+        for diag, partner, off in zip(self.diag, self.partner, self.off):
+            M = np.zeros((self.dim, self.dim))
+            M[k, k] = diag
+            moved = partner != k
+            M[partner[moved], k[moved]] = off[moved]
+            mats.append(M)
+        return tuple(mats)
 
-def standard_tableaux(alpha: Partition) -> list[tuple[tuple[int, ...], ...]]:
-    """Standard Young tableaux of shape alpha, ordered by their row-index word."""
-    parts = alpha.parts
-    m = alpha.size
-    out = []
+    def left(self, i: int, X: np.ndarray) -> np.ndarray:
+        """image(s_i) @ X, by gathering rows."""
+        return self.diag[i - 1, :, None] * X + self.off[i - 1, :, None] * X[self.partner[i - 1]]
 
-    def fill(k, rows, counts):
-        if k > m:
-            out.append(tuple(tuple(r) for r in rows))
-            return
-        for r in range(len(parts)):
-            if counts[r] < parts[r] and (r == 0 or counts[r] < counts[r - 1]):
-                rows[r].append(k)
-                counts[r] += 1
-                fill(k + 1, rows, counts)
-                rows[r].pop()
-                counts[r] -= 1
-
-    fill(1, [[] for _ in parts], [0] * len(parts))
-    return out
-
-
-def _positions(tableau):
-    pos = {}
-    for r, row in enumerate(tableau):
-        for c, entry in enumerate(row):
-            pos[entry] = (r, c)
-    return pos
+    def right(self, X: np.ndarray, i: int) -> np.ndarray:
+        """X @ image(s_i), by gathering columns."""
+        return X * self.diag[i - 1] + X[:, self.partner[i - 1]] * self.off[i - 1]
 
 
 @lru_cache(maxsize=None)
@@ -229,29 +256,26 @@ def young_orthogonal_rep(alpha: Partition) -> OrthogonalRep:
 
     The s_i image has diagonal entries 1/r with r the axial distance from i
     to i+1, and off-diagonal entries sqrt(1 - 1/r^2) connecting tableaux that
-    differ by swapping i and i+1.
+    differ by swapping i and i+1.  Contents come from cumulative row counts;
+    a swapped tableau is found by the integer code of its word.
     """
-    tableaux = standard_tableaux(alpha)
-    index = {t: k for k, t in enumerate(tableaux)}
-    dim = len(tableaux)
+    words = _tableau_words(alpha)
+    dim, m = words.shape
     assert dim == alpha.dimension
-    m = alpha.size
-    mats = []
-    for i in range(1, m):
-        M = np.zeros((dim, dim))
-        for t, k in index.items():
-            pos = _positions(t)
-            (r1, c1), (r2, c2) = pos[i], pos[i + 1]
-            axial = (c2 - r2) - (c1 - r1)
-            M[k, k] = 1.0 / axial
-            if abs(axial) >= 2:
-                swapped = tuple(
-                    tuple(i + 1 if e == i else i if e == i + 1 else e for e in row)
-                    for row in t
-                )
-                M[index[swapped], k] = math.sqrt(1.0 - 1.0 / axial**2)
-        mats.append(M)
-    return OrthogonalRep(alpha, tuple(mats))
+    # column of each letter = number of letters before it in its row
+    in_row = words[:, :, None] == np.arange(alpha.height)
+    cols = np.take_along_axis(np.cumsum(in_row, axis=1), words[:, :, None], axis=2)[:, :, 0] - 1
+    contents = cols - words
+    axial = (contents[:, 1:] - contents[:, :-1]).T  # (m-1, dim)
+    if alpha.height**m >= 2**63:
+        raise ValueError(f"{alpha}: tableau words overflow their int64 codes")
+    place = alpha.height ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    codes = words @ place  # numeric order = lexicographic order of the words
+    # swapping letters i, i+1 changes the code by (w_{i+1} - w_i)(p_i - p_{i+1})
+    delta = (words[:, 1:] - words[:, :-1]) * (place[:-1] - place[1:])
+    swapped = np.searchsorted(codes, (codes[:, None] + delta).T)
+    partner = np.where(np.abs(axial) >= 2, swapped, np.arange(dim))
+    return OrthogonalRep(alpha, words, 1.0 / axial, partner, np.sqrt(1.0 - 1.0 / axial**2))
 
 
 def rep_matrix(rep: OrthogonalRep, sigma: Permutation) -> np.ndarray:

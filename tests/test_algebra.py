@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from cloneregion import algebra
 from cloneregion.algebra import (
@@ -16,11 +17,17 @@ from cloneregion.algebra import (
     decomposition_to_dict,
     reference_fixtures,
 )
-from cloneregion.symgroup import Partition, branch_up
+from cloneregion.symgroup import Partition, branch_up, young_orthogonal_rep
+
+from loop_reference import eigh_block, reference_Q
 
 
 def P(*parts):
     return Partition(tuple(parts))
+
+
+def _added_row(alpha, nu):
+    return next(i for i, p in enumerate(nu.parts) if i >= alpha.height or p > alpha.parts[i])
 
 
 class TestAdmissibleIrreps:
@@ -86,6 +93,16 @@ class TestBuildQ:
             if d > n - 2:  # Q is nonsingular above the critical dimension
                 assert abs(np.linalg.det(M)) > 1e-8
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+    def test_matches_reference(self, n):
+        for d in (2, max(n - 2, 3)):  # the larger d admits every alpha
+            for alpha in admissible_M_irreps(n, d):
+                Q = build_Q(alpha, n, d).entries
+                if n <= 4:
+                    np.testing.assert_array_equal(Q, reference_Q(alpha, n, d))
+                else:
+                    np.testing.assert_allclose(Q, reference_Q(alpha, n, d), rtol=0, atol=1e-12)
+
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             build_Q(P(2), 3, 2)  # wrong size
@@ -104,15 +121,11 @@ class TestBuildBlock:
             if block.dropped is not None:
                 assert block.dropped in expected
             assert list(block.labels) == [nu for nu in expected if nu != block.dropped]
-            # Z diagonalizes Q with the kept eigenvalues
+            # Y^T Y = sum_a B_a carries the kept eigenvalues, and Y Y^T = Q
             np.testing.assert_allclose(
-                block.Z.T @ block.Z, np.eye(block.dim), atol=1e-12
+                sum(block.generators), np.diag(block.eigenvalues_full()), rtol=0, atol=1e-13 * d
             )
-            np.testing.assert_allclose(
-                block.Z.T @ Q.entries @ block.Z,
-                np.diag(block.eigenvalues_full()),
-                atol=1e-10,
-            )
+            assert block.gram_residual <= 1e-10
             assert block.dim == np.linalg.matrix_rank(Q.entries, tol=1e-8)
 
     def test_n3_closed_form(self):
@@ -167,10 +180,10 @@ class TestBuildBlock:
             assert list(block.eigenvalues) == expect
             assert all(nu.height <= d for nu in block.labels)
             assert (block.dropped is not None) == (alpha.height == d)
-            assert block.spectrum_gap <= 1e-10 * d
+            assert block.gram_residual <= 1e-10
 
     def test_unlabelable_spectrum_raises(self, monkeypatch):
-        # predicted eigenvalues lie 1 apart; a shift of 3/4 leaves no label
+        # a shift of 3/4 breaks Y Y^T = Q far beyond the 1e-8 d certificate
         original = algebra.build_Q
 
         def shifted(alpha, n, d):
@@ -178,8 +191,45 @@ class TestBuildBlock:
             return algebra.QMatrix(alpha, n, d, Q.entries + 0.75 * np.eye(len(Q.entries)))
 
         monkeypatch.setattr(algebra, "build_Q", shifted)
-        with pytest.raises(InconsistencyError, match="cannot be labeled"):
+        with pytest.raises(InconsistencyError, match="misses Y Y\\^T = Q"):
             build_block(P(2, 1), 5, 3)
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("d", [2, 3, 4, 6])
+    def test_matches_eigh_reference(self, n, d):
+        for alpha in admissible_M_irreps(n, d):
+            block = build_block(alpha, n, d)
+            eigenvalues, labels, generators = eigh_block(alpha, n, d)
+            assert list(block.eigenvalues) == eigenvalues
+            assert list(block.labels) == labels
+            assert blocks_equivalent(block.generators, generators)
+            np.testing.assert_allclose(
+                sum(block.generators), np.diag(block.eigenvalues_full()), rtol=0, atol=1e-13 * d
+            )
+
+    @pytest.mark.parametrize("n, d", [(10, 5), (8, 4), (6, 50)])
+    def test_gram_certificate_at_scale(self, n, d):
+        dec = decompose(n, d)
+        assert max(block.gram_residual for block in dec.blocks) <= 1e-10
+
+    @pytest.mark.parametrize("n, d", [(7, 4), (8, 5)])
+    def test_canonical_young_basis(self, n, d):
+        # the basis is fixed by the Young tableaux, whatever the eigensolver
+        m = n - 1
+        for alpha in admissible_M_irreps(n, d):
+            block = build_block(alpha, n, d)
+            # coordinates (nu, S) whose tableau S holds m outside the box nu/alpha
+            outside = np.concatenate([
+                young_orthogonal_rep(nu).words[:, -1] != _added_row(alpha, nu)
+                for nu in block.labels
+            ])
+            B = block.generators
+            assert not np.any(B[m - 1][outside]) and not np.any(B[m - 1][:, outside])
+            for a in range(1, m):
+                psi = block_diag(*[young_orthogonal_rep(nu).matrices[a - 1] for nu in block.labels])
+                np.testing.assert_allclose(psi @ B[a] @ psi, B[a - 1], rtol=0, atol=1e-13 * d)
 
 
 class TestCloneObservable:

@@ -122,6 +122,17 @@ class TestSymmetricMax:
         )
 
 
+class TestOneToTwoCloners:
+    @pytest.mark.parametrize("d", [2, 3, 5, 10, 50])
+    def test_extreme_points_on_cerf_curve(self, d):
+        # the optimal asymmetric 1->2 cloners (Cerf, J. Mod. Opt. 47, 187 (2000))
+        # satisfy F_1 + F_2 - (2/d) sqrt(F_1 F_2) = 1 - 1/d^2
+        dec = decompose(3, d)
+        for t in np.linspace(0.0, np.pi / 2, 52)[1:-1]:
+            (F1, F2), _ = extreme_point(dec, np.array([np.cos(t), np.sin(t)]))
+            assert F1 + F2 - (2 / d) * np.sqrt(F1 * F2) == pytest.approx(1 - 1 / d**2, abs=1e-12)
+
+
 class TestAxisWidth:
     def test_squeeze(self):
         u = np.array([1.0, 1.0]) / np.sqrt(2)

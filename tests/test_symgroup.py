@@ -13,6 +13,8 @@ from cloneregion.symgroup import (
     young_orthogonal_rep,
 )
 
+from loop_reference import loop_standard_tableaux, loop_young_matrices
+
 
 def P(*parts):
     return Partition(tuple(parts))
@@ -148,23 +150,42 @@ class TestYoungOrthogonalRep:
             for alpha in partitions_of(m):
                 assert len(standard_tableaux(alpha)) == alpha.dimension
 
-    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8])
     def test_generator_relations(self, m):
         for alpha in partitions_of(m):
             mats = young_orthogonal_rep(alpha).matrices
             eye = np.eye(alpha.dimension)
             for i, s in enumerate(mats):
-                np.testing.assert_allclose(s, s.T, atol=1e-12)
-                np.testing.assert_allclose(s @ s, eye, atol=1e-12)
+                np.testing.assert_allclose(s, s.T, atol=1e-13)
+                np.testing.assert_allclose(s @ s, eye, atol=1e-13)
                 if i + 1 < len(mats):
                     braid = s @ mats[i + 1]
                     np.testing.assert_allclose(
-                        braid @ braid @ braid, eye, atol=1e-12
+                        braid @ braid @ braid, eye, atol=1e-13
                     )
                 for j in range(i + 2, len(mats)):
                     np.testing.assert_allclose(
-                        s @ mats[j], mats[j] @ s, atol=1e-12
+                        s @ mats[j], mats[j] @ s, atol=1e-13
                     )
+
+
+class TestVectorisedYoungForm:
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_matches_loop_construction(self, m):
+        for alpha in partitions_of(m):
+            assert standard_tableaux(alpha) == loop_standard_tableaux(alpha)
+            mats = young_orthogonal_rep(alpha).matrices
+            expect = loop_young_matrices(alpha)
+            assert len(mats) == len(expect) == m - 1
+            for got, ref in zip(mats, expect):
+                np.testing.assert_array_equal(got, ref)
+
+    def test_sparse_products_match_dense(self):
+        rep = young_orthogonal_rep(P(3, 2, 1))
+        X = np.random.Generator(np.random.PCG64(7)).normal(size=(rep.dim, rep.dim))
+        for i, s in enumerate(rep.matrices, start=1):
+            np.testing.assert_allclose(rep.left(i, X), s @ X, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(rep.right(X, i), X @ s, rtol=0, atol=1e-14)
 
 
 class TestRepMatrix:
