@@ -30,33 +30,46 @@ eigenvalues, in the canonical Young basis at every n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .symgroup import Partition, branch_up, partitions_of, young_orthogonal_rep
+
+# Bytes that one computation may allocate.  Every large allocation in the
+# package first predicts its size from its inputs, plus 1 MiB for Python
+# objects, and calls require_memory.
+MEMORY_BUDGET = 2**31
 
 
 class InconsistencyError(RuntimeError):
     """Numerical structure contradicts the expected algebraic one."""
 
 
-def admissible_M_irreps(n: int, d: int) -> list[Partition]:
-    """Partitions of n-2 with height <= d, canonical order."""
+def require_memory(nbytes: int, what: str) -> None:
+    """Raise ValueError if `what`, predicted to need nbytes, exceeds MEMORY_BUDGET."""
+    if nbytes > MEMORY_BUDGET:
+        raise ValueError(f"{what} would need about {nbytes / 2**20:.1f} MiB, more than the "
+                         f"memory budget of {MEMORY_BUDGET / 2**20:g} MiB")
+
+
+def _admissible(n: int, d: int, m: int) -> Iterator[Partition]:
+    """Partitions of m with height <= d, canonical order, lazily."""
     if n < 3:
         raise ValueError(f"need n >= 3 (at least two clones plus reference), got {n}")
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
-    return [a for a in partitions_of(n - 2) if a.height <= d]
+    return (a for a in partitions_of(m) if a.height <= d)
+
+
+def admissible_M_irreps(n: int, d: int) -> list[Partition]:
+    """Partitions of n-2 with height <= d, canonical order."""
+    return list(_admissible(n, d, n - 2))
 
 
 def admissible_N_irreps(n: int, d: int) -> list[Partition]:
     """Partitions of n-1 with height <= d, canonical order."""
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
-    if d < 1:
-        raise ValueError(f"need d >= 1, got {d}")
-    return [v for v in partitions_of(n - 1) if v.height <= d]
+    return list(_admissible(n, d, n - 1))
 
 
 @dataclass(frozen=True)
@@ -233,7 +246,18 @@ class Decomposition:
 
 
 def decompose(n: int, d: int) -> Decomposition:
-    blocks = tuple(build_block(a, n, d) for a in admissible_M_irreps(n, d))
+    """All blocks for (n, d); ValueError, before any is built, past the memory budget."""
+    # A block keeps n-1 generators of dim^2 floats.  While it is built, Q(alpha),
+    # Y Y^T, the factors and their stack take at most 4 (n-1)^2 dim_phi^2 more.
+    # Partitions are read lazily, so a size far past the budget is refused at
+    # its first blocks.
+    m, need, alphas = n - 1, 2**20, []
+    for alpha in _admissible(n, d, n - 2):
+        dim = sum(nu.dimension for nu in branch_up(alpha) if nu.height <= d)
+        need += 8 * m * dim * dim + 32 * (m * alpha.dimension) ** 2
+        require_memory(need, f"decompose({n}, {d})")
+        alphas.append(alpha)
+    blocks = tuple(build_block(a, n, d) for a in alphas)
     return Decomposition(n, d, blocks, tuple(admissible_N_irreps(n, d)))
 
 
@@ -351,6 +375,9 @@ def block_to_dict(block: IrrepBlock) -> dict:
 
 
 def decomposition_to_dict(dec: Decomposition) -> dict:
+    # the Python floats and the indented JSON text take about 24x the generators
+    gen_bytes = sum(g.nbytes for b in dec.blocks for g in b.generators)
+    require_memory(24 * gen_bytes + 2**20, f"the JSON text of decompose({dec.n}, {dec.d})")
     return {
         "n": dec.n,
         "d": dec.d,

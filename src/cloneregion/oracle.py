@@ -9,11 +9,11 @@ The spectrum certifier never forms a d^n x d^n matrix. Every
 X_k = V^{t_1}(1k) conserves, for each colour c, the charge
 q_c = #{legs 2..n equal to c} - [leg 1 = c], so sum_k w_k X_k is built from
 index arithmetic one charge sector at a time and each sector is diagonalized
-densely. SECTOR_DIM_CAP limits the largest sector; the CLI sizes
-(n <= 6, d^n <= 2^18) need at most 720, at n = 6, d = 8. Mixed Schur-Weyl
-duality repeats block alpha r(alpha) = s_alpha(1^d) times and leaves the rest
-of those sectors zero, so one sorted comparison certifies the blocks, with
-nothing fitted. Singlet fractions of a pure state come from its vector.
+densely, the index arrays and the largest batch of sectors within the
+memory budget. Mixed Schur-Weyl duality repeats block alpha
+r(alpha) = s_alpha(1^d) times and leaves the rest of those sectors zero, so
+one sorted comparison certifies the blocks, with nothing fitted. Singlet
+fractions of a pure state come from its vector.
 """
 
 from __future__ import annotations
@@ -22,11 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Decomposition, InconsistencyError
+from .algebra import MEMORY_BUDGET, Decomposition, InconsistencyError, require_memory
 from .symgroup import Permutation
-
-OPERATOR_DIM_CAP = 2**20
-SECTOR_DIM_CAP = 2**12
 
 
 @dataclass(frozen=True)
@@ -50,17 +47,12 @@ class DenseOperator:
         return self.d**self.n
 
 
-def _check_cap(n: int, d: int, cap: int = OPERATOR_DIM_CAP):
-    if d**n > cap:
-        raise ValueError(f"d^n = {d**n} exceeds the operator cap {cap}")
-
-
 def perm_operator(sigma: Permutation, n: int, d: int) -> DenseOperator:
     """Unitary V(sigma) with V|i_1..i_n> = |i_{sigma^-1(1)} .. i_{sigma^-1(n)}>."""
     if sigma.degree != n:
         raise ValueError(f"permutation degree {sigma.degree} != n = {n}")
-    _check_cap(n, d)
     dim = d**n
+    require_memory(8 * dim * (dim + n + 2) + 2**20, f"a dense operator on (C^{d})^{n}")
     idx = np.arange(dim)
     digits = [(idx // d ** (n - 1 - leg)) % d for leg in range(n)]
     inv = sigma.inverse()
@@ -80,7 +72,7 @@ def pt_transposition(k: int, n: int, d: int) -> DenseOperator:
     """
     if not 2 <= k <= n:
         raise ValueError(f"k must be in 2..{n}, got {k}")
-    _check_cap(n, d)
+    require_memory(8 * d**n * (2 * d**n + n + 2) + 2**20, f"a dense operator on (C^{d})^{n}")
     V = perm_operator(Permutation.transposition(1, k, n), n, d).matrix
     T = V.reshape([d] * (2 * n))
     T = np.swapaxes(T, 0, n)  # transpose output leg 1 with input leg 1
@@ -99,11 +91,14 @@ def sector_blocks(w: np.ndarray, n: int, d: int):
 
     `indices` (m, s) holds the ascending basis indices of m sectors of size s and
     `blocks` (m, s, s) their dense blocks; sectors come by increasing size, at
-    most SECTOR_DIM_CAP^2 block entries at a time. Raises ValueError if a sector
-    exceeds SECTOR_DIM_CAP, before any block is allocated, and InconsistencyError
-    if an entry joins two sectors.
+    most MEMORY_BUDGET // 128 block entries at a time unless one sector holds
+    more. Raises ValueError, before allocating them, when the index arrays or
+    the largest batch would pass the memory budget, and InconsistencyError if
+    an entry joins two sectors.
     """
-    _check_cap(n, d)
+    # digits, the (n-1) d^n entries and their sorted copies: 10 n + 16 words a state
+    index_bytes = 8 * d**n * (10 * n + 16) + 2**20
+    require_memory(index_bytes, f"the charge sectors of (C^{d})^{n}")
     w = np.asarray(w, dtype=float)
     idx = np.arange(d**n)
     digits = (idx[:, None] // d ** np.arange(n - 1, -1, -1)) % d
@@ -115,10 +110,11 @@ def sector_blocks(w: np.ndarray, n: int, d: int):
     states = np.flatnonzero(hit.any(axis=1))
     charge = rest[states, :-1] @ d ** np.arange(n - 3, -1, -1)
     _, sector, sizes = np.unique(charge, return_inverse=True, return_counts=True)
-    if sizes.max() > SECTOR_DIM_CAP:
-        raise ValueError(
-            f"charge sector of size {sizes.max()} exceeds the sector cap {SECTOR_DIM_CAP}"
-        )
+    # the largest batch holds max(batch, s_max^2) entries, and no more than all
+    # sectors together; it is counted thrice: bincount, its result, a LAPACK copy
+    batch = MEMORY_BUDGET // 128
+    largest = min(max(batch, int(sizes.max()) ** 2), int(np.sum(sizes**2)))
+    require_memory(index_bytes + 24 * largest, f"charge sectors up to size {sizes.max()}")
 
     # renumber sectors by size and lay their states out contiguously
     by_size = np.argsort(sizes, kind="stable")
@@ -153,7 +149,7 @@ def sector_blocks(w: np.ndarray, n: int, d: int):
     while first < sizes.size:
         s = int(sizes[first])
         same = first + int(np.searchsorted(sizes[first:], s, side="right"))
-        last = min(same, first + max(1, SECTOR_DIM_CAP**2 // s**2))
+        last = min(same, first + max(1, batch // s**2))
         lo, hi = np.searchsorted(entry_sector, [first, last])
         flat = (entry_sector[lo:hi] - first) * s + local_of[rows[lo:hi]]
         flat = flat * s + local_of[cols[lo:hi]]
@@ -214,9 +210,8 @@ def haar_isometry(d: int, N: int, seed: int) -> ChannelSample:
     Complex Gaussian entries via PCG64 uniforms through Box-Muller, then QR
     with positive R diagonal; bit-reproducible for a fixed seed.
     """
-    if d**N > 2**16:
-        raise ValueError(f"d^N = {d**N} exceeds the channel cap {2**16}")
-    rows = d**N
+    rows = d**N  # 144 bytes an entry: uniforms, normals, G, its QR and W
+    require_memory(144 * rows * d + 2**20, f"a Haar isometry C^{d} -> (C^{d})^{N}")
     rng = np.random.Generator(np.random.PCG64(seed))
     count = rows * d
     u = rng.random(4 * count)
@@ -268,6 +263,9 @@ def clone_fidelity_from_singlet(F: float, d: int) -> float:
 
 
 def singlet_from_clone_fidelity(f: float, d: int) -> float:
+    """Singlet fraction F = (f (d + 1) - 1)/d from an average clone fidelity."""
+    if not 1.0 / (d + 1.0) - 1e-12 <= f <= 1 + 1e-12:
+        raise ValueError(f"clone fidelity must be in [1/(d+1), 1], got {f}")
     return (f * (d + 1.0) - 1.0) / d
 
 
@@ -313,7 +311,7 @@ def full_vs_block_spectrum(dec: Decomposition, w: np.ndarray) -> SpectrumReport:
     """Certify the block decomposition along direction w.
 
     Diagonalizes sum_k w_{k-1} V^{t_1}(1k) on (C^d)^{x n} one charge sector at
-    a time (see sector_blocks; ValueError past SECTOR_DIM_CAP) and compares the
+    a time (see sector_blocks; ValueError past the memory budget) and compares the
     sorted result with the blocks' prediction: the spectrum of
     sum_k w_{k-1} B_{k-1} in block alpha, repeated r(alpha) = s_alpha(1^d)
     times, padded with zeros.

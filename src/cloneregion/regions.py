@@ -23,7 +23,7 @@ from scipy.spatial import ConvexHull
 from scipy.special import ndtri
 from scipy.stats import qmc
 
-from .algebra import Decomposition, InconsistencyError, IrrepBlock
+from .algebra import Decomposition, InconsistencyError, IrrepBlock, require_memory
 
 MAX_ROUNDS = 200
 # HiGHS at its default 1e-7 feasibility tolerances returns duals too coarse
@@ -99,6 +99,14 @@ def sample_block_region(block: IrrepBlock, count: int) -> RegionSample:
     return RegionSample(source=str(block.alpha.parts), points=points, states=states)
 
 
+def sample_region(dec: Decomposition, count: int) -> list[RegionSample]:
+    """sample_block_region for every block; ValueError past the memory budget."""
+    # 240 bytes a sampled number: its float, Python object and output text
+    numbers = count * sum(b.dim + dec.clone_count for b in dec.blocks)
+    require_memory(240 * numbers + 2**20, f"{count} samples of each block")
+    return [sample_block_region(b, count) for b in dec.blocks]
+
+
 def _top_block(dec: Decomposition, w: np.ndarray):
     """(lambda_max, block, M) for the block whose M = sum_k w_k B_k tops the others."""
     best = (-np.inf, None, None)
@@ -171,17 +179,11 @@ def build_hull(dec: Decomposition, samples_per_block: int = 10**4) -> RegionHull
     N = dec.clone_count
     if N not in (2, 3):
         raise ValueError(
-            f"exact hulls only for 2 or 3 clones (got {N}); use support/membership"
+            f"sampled hulls only for 2 or 3 clones (got {N}); use support/membership"
         )
-    pts = []
-    srcs = []
-    for block in dec.blocks:
-        sample = sample_block_region(block, samples_per_block)
-        pts.append(sample.points)
-        srcs.extend([sample.source] * sample.points.shape[0])
-    pts.append(np.zeros((1, N)))
-    srcs.append("N")
-    pts = np.vstack(pts)
+    samples = sample_region(dec, samples_per_block)
+    pts = np.vstack([s.points for s in samples] + [np.zeros((1, N))])
+    srcs = [s.source for s in samples for _ in range(len(s.points))] + ["N"]
     hull = ConvexHull(pts)
     normals = hull.equations[:, :-1]
     offsets = -hull.equations[:, -1]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import Iterator
 
 import numpy as np
 
@@ -82,11 +83,11 @@ def _rev_lex(m: int, cap: int):
             yield (first,) + rest
 
 
-def partitions_of(m: int) -> list[Partition]:
-    """All partitions of m in reverse-lexicographic (canonical) order."""
+def partitions_of(m: int) -> Iterator[Partition]:
+    """The partitions of m in reverse-lexicographic (canonical) order, lazily."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    return [Partition(p) for p in _rev_lex(m, m)]
+    return map(Partition, _rev_lex(m, m))
 
 
 def branch_up(alpha: Partition) -> list[Partition]:

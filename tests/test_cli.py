@@ -2,7 +2,9 @@ import argparse
 import csv
 import io
 import json
+import time
 
+import numpy as np
 import pytest
 
 from cloneregion import __version__
@@ -127,6 +129,13 @@ class TestCheck:
         assert "28/28 checks passed" in out
         assert "FAIL" not in out
 
+    def test_past_the_old_cap(self, capsys):
+        code, out, _ = run(capsys, "check", "--n", "8", "--d", "3")
+        assert code == 0
+        lines = [ln for ln in out.splitlines() if ln.startswith("[")]
+        assert lines and all(ln.startswith("[PASS]") for ln in lines)
+        assert f"{len(lines)}/{len(lines)} checks passed" in out
+
 
 class TestChannels:
     def test_csv_and_determinism(self, capsys):
@@ -167,6 +176,13 @@ class TestConvert:
         code, out, _ = run(capsys, "convert", "--d", "2", "--clone-fidelity", "0.8333333333333334")
         assert code == 0 and "F = 0.75" in out
 
+    @pytest.mark.parametrize("f", ["5", "0.1"])
+    def test_impossible_clone_fidelity(self, capsys, f):
+        # f = (F d + 1)/(d + 1) lies in [1/(d+1), 1] for F in [0, 1]
+        code, out, err = run(capsys, "convert", "--d", "2", "--clone-fidelity", f)
+        assert code == 2 and "clone fidelity" in err
+        assert out == ""
+
     def test_missing_argument(self, capsys):
         code, _, err = run(capsys, "convert", "--d", "2")
         assert code == 2
@@ -182,19 +198,38 @@ class TestArgumentValidation:
         code, _, _ = run(capsys, "channels", "--n", "3", "--d", "2", "--tol", "0")
         assert code == 2
 
-    def test_irreps_cap(self, capsys):
-        code, _, err = run(capsys, "irreps", "--n", "9", "--d", "2")
-        assert code == 2 and "cap" in err
+    @pytest.fixture
+    def no_eigensolve(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an eigensolve ran before the memory budget refusal")
 
-    def test_oracle_cap(self, capsys):
-        code, _, err = run(capsys, "channels", "--n", "6", "--d", "9", "--samples", "1")
-        assert code == 2 and "cap" in err
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, refuse)
 
-    def test_check_oracle_cap(self, capsys):
-        # past the cap the oracle rows cannot run, so check refuses the size
-        code, out, err = run(capsys, "check", "--n", "6", "--d", "9")
-        assert code == 2 and "oracle cap 262144" in err
+    def test_irreps_cap(self, capsys, no_eigensolve):
+        # the first block alone, (998) at n = 1000, needs 8 GB of generators
+        start = time.perf_counter()
+        code, out, err = run(capsys, "irreps", "--n", "1000", "--d", "2")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and "memory budget of 2048 MiB" in err
         assert out == ""
+
+    def test_oracle_cap(self, capsys, no_eigensolve):
+        # a Haar isometry C^100 -> (C^100)^{x 5} holds 10^12 complex entries
+        code, out, err = run(capsys, "channels", "--n", "6", "--d", "100", "--samples", "1")
+        assert code == 2 and "Haar isometry" in err and "memory budget" in err
+        assert out == ""
+
+    def test_check_oracle_cap(self, capsys, no_eigensolve):
+        # past the budget the oracle rows cannot run, so check refuses the size
+        code, out, err = run(capsys, "check", "--n", "6", "--d", "40")
+        assert code == 2 and "charge sectors" in err and "memory budget" in err
+        assert out == ""
+
+    def test_irreps_past_the_old_cap(self, capsys):
+        code, out, _ = run(capsys, "irreps", "--n", "9", "--d", "2")
+        assert code == 0
+        assert json.loads(out)["n"] == 9
 
 
 class TestOutputFiles:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cloneregion.algebra import InconsistencyError, decompose
-from cloneregion import oracle
+from cloneregion import algebra
 from cloneregion.regions import support
 from cloneregion.oracle import (
     ChannelSample,
@@ -62,7 +62,7 @@ class TestPermOperator:
             np.testing.assert_allclose(Vs @ Vt, Vst, atol=1e-12)
 
     def test_cap(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="memory budget"):
             perm_operator(Permutation.identity(21), 21, 2)
 
 
@@ -124,14 +124,16 @@ class TestSectorBlocks:
 
     def test_cap_raises_before_any_eigensolve(self, monkeypatch):
         def no_eigensolve(*args, **kwargs):
-            raise AssertionError("eigensolve ran before the sector cap check")
+            raise AssertionError("eigensolve ran before the memory budget check")
 
+        dec = decompose(5, 4)
         monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
-        with pytest.raises(ValueError, match="48620 exceeds the sector cap"):
-            next(sector_blocks(np.ones(17), 18, 2))  # largest sector C(18, 9)
-        monkeypatch.setattr(oracle, "SECTOR_DIM_CAP", 59)
-        with pytest.raises(ValueError, match="sector cap 59"):
-            full_vs_block_spectrum(decompose(5, 4), np.ones(4))
+        # the index arrays fit; one block of the largest sector, C(18, 9), does not
+        with pytest.raises(ValueError, match="size 48620 would need about .* memory budget"):
+            next(sector_blocks(np.ones(17), 18, 2))
+        monkeypatch.setattr(algebra, "MEMORY_BUDGET", 2**16)
+        with pytest.raises(ValueError, match="memory budget of 0.0625 MiB"):
+            full_vs_block_spectrum(dec, np.ones(4))
 
 
 class TestSupportVsFullSpectrum:
@@ -161,8 +163,8 @@ class TestHaarIsometry:
         assert np.max(np.abs(a - c)) > 1e-3
 
     def test_cap(self):
-        with pytest.raises(ValueError):
-            haar_isometry(2, 17, 0)
+        with pytest.raises(ValueError, match="Haar isometry .* memory budget"):
+            haar_isometry(2, 30, 0)
 
 
 class TestChoiState:
