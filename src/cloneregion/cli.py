@@ -21,12 +21,12 @@ import argparse
 import csv
 import io
 import json
+import locale  # noqa: F401  argparse's gettext imports it on the first parse
 import os
 import sys
 import tempfile
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .algebra import decompose, decomposition_to_dict
@@ -38,17 +38,25 @@ from .oracle import (
     singlet_from_clone_fidelity,
     vector_singlet_fractions,
 )
-from .regions import MembershipOracle, build_hull, sample_region, support, symmetric_max
+from .regions import (
+    MembershipOracle,
+    build_hull,
+    extreme_point,
+    sample_region,
+    support,
+    symmetric_max,
+)
 
 SCHEMA_VERSION = "1.0.0"
 
 
-def _atomic_write(path: str, data: str):
+def _atomic_write(path: str, write):
+    """Call write(fh) on a temporary file beside path, then move it into place."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cloneregion-")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(data)
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -57,17 +65,22 @@ def _atomic_write(path: str, data: str):
 
 
 def _emit(args, payload: dict | str):
-    if isinstance(payload, dict):
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        text = payload
+    def write(fh):
+        if isinstance(payload, dict):  # streamed: the whole text is never held
+            json.dump(payload, fh, indent=2)
+            fh.write("\n")
+        else:
+            fh.write(payload)
+
     if args.out:
-        _atomic_write(args.out, text)
+        _atomic_write(args.out, write)
     else:
-        sys.stdout.write(text)
+        write(sys.stdout)
 
 
 def _envelope(args, body: dict) -> dict:
+    import scipy
+
     config = {
         k: v
         for k, v in sorted(vars(args).items())
@@ -186,6 +199,14 @@ def run_checks(n: int, d: int, seed: int = 0) -> list[tuple[str, bool, str]]:
     )
     dev = float(np.max(np.abs(F - 1.0 / d)))
     add("classical-clone point equals (1/d, ..., 1/d)", dev < 1e-12, f"max dev {dev:.2e}")
+
+    if n == 3:  # the optimal asymmetric 1->2 cloners (Cerf, J. Mod. Opt. 47, 187 (2000))
+        dev = 0.0
+        for t in np.linspace(0.0, np.pi / 2, 52)[1:-1]:
+            (F1, F2), _ = extreme_point(dec, np.array([np.cos(t), np.sin(t)]))
+            dev = max(dev, abs(F1 + F2 - (2 / d) * np.sqrt(F1 * F2) - (1 - 1 / d**2)))
+        add("1->2 extreme points on F1 + F2 - (2/d) sqrt(F1 F2) = 1 - 1/d^2", dev <= 1e-12,
+            f"max dev {dev:.2e} over 50 directions")
 
     return results
 

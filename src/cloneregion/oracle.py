@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # NumPy 2 loads it lazily; load it with the package, not on first draw
 
 from .algebra import MEMORY_BUDGET, Decomposition, InconsistencyError, require_memory
 from .symgroup import Permutation

@@ -10,6 +10,12 @@ module samples the block regions deterministically, builds 2D/3D convex hulls,
 evaluates the exact support function h(w) via extremal eigenvalues, and answers
 membership and constrained-maximization queries by column generation over the
 extreme points that the top eigenvectors give.
+
+Only three functions import SciPy, inside their bodies: _solve_master
+(scipy.optimize.linprog, for membership, classify and constrained_max),
+build_hull (scipy.spatial.ConvexHull) and _sphere_grid past dimension 3
+(scipy.stats.qmc and scipy.special.ndtri, for sample_block_region).  The
+support function, extreme points and symmetric_max are NumPy only.
 """
 
 from __future__ import annotations
@@ -18,10 +24,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.spatial import ConvexHull
-from scipy.special import ndtri
-from scipy.stats import qmc
 
 from .algebra import Decomposition, InconsistencyError, IrrepBlock, require_memory
 
@@ -68,6 +70,9 @@ def _sphere_grid(dim: int, count: int) -> np.ndarray:
             ]
         )
     # unscrambled Halton points mapped to the sphere via the normal quantile
+    from scipy.special import ndtri
+    from scipy.stats import qmc
+
     sampler = qmc.Halton(d=dim, scramble=False)
     sampler.fast_forward(1)  # skip the origin
     u = sampler.random(count)
@@ -181,6 +186,8 @@ def build_hull(dec: Decomposition, samples_per_block: int = 10**4) -> RegionHull
         raise ValueError(
             f"sampled hulls only for 2 or 3 clones (got {N}); use support/membership"
         )
+    from scipy.spatial import ConvexHull
+
     samples = sample_region(dec, samples_per_block)
     pts = np.vstack([s.points for s in samples] + [np.zeros((1, N))])
     srcs = [s.source for s in samples for _ in range(len(s.points))] + ["N"]
@@ -199,6 +206,8 @@ def build_hull(dec: Decomposition, samples_per_block: int = 10**4) -> RegionHull
 
 
 def _solve_master(cost: np.ndarray, A_eq: np.ndarray, b_eq: np.ndarray):
+    from scipy.optimize import linprog
+
     res = linprog(cost, A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs",
                   options=_HIGHS)
     if res.status != 0:

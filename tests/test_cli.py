@@ -121,6 +121,15 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "--n", "5", "--d", "4", "--seed", "5025")
         assert code == 0
         assert "FAIL" not in out
+        assert "18/18 checks passed" in out and "1->2" not in out  # the 1->2 row is n = 3 only
+
+    @pytest.mark.parametrize("d", [2, 50])
+    def test_one_to_two_closed_form_row(self, capsys, d):
+        code, out, _ = run(capsys, "check", "--n", "3", "--d", str(d))
+        assert code == 0
+        [row] = [ln for ln in out.splitlines() if "1->2 extreme points" in ln]
+        assert row.startswith("[PASS]")
+        assert "9/9 checks passed" in out
 
     def test_past_dense_memory(self, capsys):
         # d^n = 46656: a dense operator would need 16 GiB

@@ -18,6 +18,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+# The package imports these on first use; loading them here keeps their
+# one-time module objects out of the peaks that the predictions must bound.
+import scipy.optimize  # noqa: F401
+import scipy.spatial  # noqa: F401
+import scipy.stats  # noqa: F401
 
 from cloneregion import algebra, cli, oracle, regions
 from cloneregion.symgroup import Permutation
