@@ -22,12 +22,9 @@ from .algebra import (
     QMatrix,
     admissible_M_irreps,
     admissible_N_irreps,
-    blocks_equivalent,
     build_Q,
     build_block,
-    clone_observable,
     decompose,
-    reference_fixtures,
 )
 
 __all__ = [
@@ -44,12 +41,9 @@ __all__ = [
     "QMatrix",
     "admissible_M_irreps",
     "admissible_N_irreps",
-    "blocks_equivalent",
     "build_Q",
     "build_block",
-    "clone_observable",
     "decompose",
-    "reference_fixtures",
 ]
 
 __version__ = "0.1.0"

@@ -30,7 +30,7 @@ eigenvalues, in the canonical Young basis at every n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -224,13 +224,6 @@ def build_block(alpha: Partition, n: int, d: int) -> IrrepBlock:
     )
 
 
-def clone_observable(block: IrrepBlock, k: int) -> np.ndarray:
-    """Fidelity observable for clone k: the image of the transposition (k-1, n)."""
-    if not 2 <= k <= block.n:
-        raise ValueError(f"clone index k must be in 2..{block.n}, got {k}")
-    return block.generators[k - 2]
-
-
 @dataclass(frozen=True)
 class Decomposition:
     """All irreducible blocks for (n, d), plus the semi-trivial irrep labels."""
@@ -259,102 +252,6 @@ def decompose(n: int, d: int) -> Decomposition:
         alphas.append(alpha)
     blocks = tuple(build_block(a, n, d) for a in alphas)
     return Decomposition(n, d, blocks, tuple(admissible_N_irreps(n, d)))
-
-
-# ---------------------------------------------------------------------------
-# Reference matrices for n = 3 and n = 4
-# ---------------------------------------------------------------------------
-
-# Unit vectors u_a and diagonal scalings D with B_a = D u_a u_a^T D for the
-# rank-one n=4 generator matrices; u^T D^2 u = d guarantees B_a^2 = d B_a.
-_U4 = {
-    (2,): [
-        [1 / np.sqrt(6), -1 / np.sqrt(2), 1 / np.sqrt(3)],
-        [1 / np.sqrt(6), 1 / np.sqrt(2), 1 / np.sqrt(3)],
-        [np.sqrt(2.0 / 3.0), 0.0, -1 / np.sqrt(3)],
-    ],
-    (1, 1): [
-        [1 / np.sqrt(2), -1 / np.sqrt(6), -1 / np.sqrt(3)],
-        [1 / np.sqrt(2), 1 / np.sqrt(6), 1 / np.sqrt(3)],
-        [0.0, np.sqrt(2.0 / 3.0), -1 / np.sqrt(3)],
-    ],
-}
-
-
-def _diag4(alpha: Partition, d: int) -> np.ndarray:
-    if alpha.parts == (2,):
-        return np.diag(np.sqrt([d - 1.0, d - 1.0, d + 2.0]))
-    return np.diag(np.sqrt([d + 1.0, d + 1.0, d - 2.0]))
-
-
-def reference_fixtures(n: int, d: int) -> list[tuple[Partition, list[np.ndarray]]]:
-    """Known-good generator matrices for n = 3 and n = 4.
-
-    For n = 3 (one block) and for the 2x2 block at n = 4, d = 2 these are
-    the published closed forms verbatim.  The rank-one 3x3 forms at n = 4
-    appear in print with an overall 1/3 that breaks the defining relation
-    B^2 = d B (it would cap the top fidelity at 1/3); here they are returned
-    as D u u^T D with unit u, which restores the relation and the trace
-    identity tr B = d * dim_phi.
-    """
-    if n == 3:
-        s = np.sqrt(d**2 - 1.0)
-        v13 = 0.5 * np.array([[d + 1.0, -s], [-s, d - 1.0]])
-        v23 = 0.5 * np.array([[d + 1.0, s], [s, d - 1.0]])
-        return [(Partition((1,)), [v13, v23])]
-    if n == 4:
-        out = []
-        a1 = Partition((2,))
-        D1 = _diag4(a1, d)
-        out.append(
-            (a1, [D1 @ np.outer(u, u) @ D1 for u in map(np.asarray, _U4[(2,)])])
-        )
-        a2 = Partition((1, 1))
-        if d >= 3:
-            D2 = _diag4(a2, d)
-            mats = [D2 @ np.outer(u, u) @ D2 for u in map(np.asarray, _U4[(1, 1)])]
-        else:
-            r3 = np.sqrt(3.0)
-            mats = [
-                3 * np.array([[1 / 2, -1 / (2 * r3)], [-1 / (2 * r3), 1 / 6]]),
-                3 * np.array([[1 / 2, 1 / (2 * r3)], [1 / (2 * r3), 1 / 6]]),
-                3 * np.array([[0.0, 0.0], [0.0, 2 / 3]]),
-            ]
-        out.append((a2, mats))
-        return out
-    raise ValueError(f"reference matrices available only for n in {{3, 4}}, got {n}")
-
-
-def blocks_equivalent(
-    X: Sequence[np.ndarray], Y: Sequence[np.ndarray], tol: float = 1e-10
-) -> bool:
-    """Basis-independent comparison of two generator families.
-
-    Compares traces of all words of length <= 3 in the generators; these are
-    invariant under simultaneous orthogonal conjugation and separate the
-    block families arising here.
-    """
-    if len(X) != len(Y):
-        raise ValueError("generator counts differ")
-    for x, y in zip(X, Y):
-        if x.shape != y.shape:
-            raise ValueError("generator shapes differ")
-    m = len(X)
-    for a in range(m):
-        if abs(np.trace(X[a]) - np.trace(Y[a])) > tol:
-            return False
-    for a in range(m):
-        for b in range(m):
-            if abs(np.trace(X[a] @ X[b]) - np.trace(Y[a] @ Y[b])) > tol:
-                return False
-    for a in range(m):
-        for b in range(m):
-            for c in range(m):
-                tx = np.trace(X[a] @ X[b] @ X[c])
-                ty = np.trace(Y[a] @ Y[b] @ Y[c])
-                if abs(tx - ty) > tol:
-                    return False
-    return True
 
 
 # ---------------------------------------------------------------------------

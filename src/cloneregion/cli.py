@@ -4,27 +4,31 @@ Subcommands
 -----------
 irreps     emit the block decomposition as JSON
 region     emit sampled per-block fidelity points plus the ideal N's origin
-hull       emit the convex hull (vertices + facets)
+hull       emit the certified convex hull (vertices, facets, their support, gap)
 check      run the algebra-relation and spectrum-oracle suite
 channels   sample Haar cloning channels, emit fidelity vectors + verdicts
 symmetric  print the symmetric fidelity optimum and the Werner reference
 convert    convert between singlet fraction and clone fidelity
 
-Each command takes only the flags it uses. All outputs are deterministic
-given the flags; files are written atomically, and JSON outputs carry a schema
-version, the package versions and the generating config.
+Each command takes only the flags it uses.  `hull` takes none beyond --n, --d
+and --out: it refines exact extreme points until its gap is at rounding level
+or it reaches regions.HULL_FACETS facets.  SciPy's qmc and ndtri serve
+`region` only, for the sampled points of blocks of dimension >= 4.  All
+outputs are deterministic given the flags and streamed; files are written
+atomically, and JSON outputs carry a schema version, the package versions and
+the generating config.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import locale  # noqa: F401  argparse's gettext imports it on the first parse
 import os
 import sys
 import tempfile
+from typing import Iterable
 
 import numpy as np
 
@@ -64,13 +68,16 @@ def _atomic_write(path: str, write):
         raise
 
 
-def _emit(args, payload: dict | str):
+def _emit(args, payload: dict | str | Iterable[list]):
+    """Write a dict as JSON, a str as is, or CSV rows; streamed, the whole text is never held."""
     def write(fh):
-        if isinstance(payload, dict):  # streamed: the whole text is never held
+        if isinstance(payload, dict):
             json.dump(payload, fh, indent=2)
             fh.write("\n")
-        else:
+        elif isinstance(payload, str):
             fh.write(payload)
+        else:
+            csv.writer(fh, lineterminator="\n").writerows(payload)
 
     if args.out:
         _atomic_write(args.out, write)
@@ -101,21 +108,21 @@ def cmd_region(args) -> int:
     samples = sample_region(dec, args.samples)
     npt = np.zeros(args.n - 1)  # the semi-trivial ideal's point
     if args.format == "csv":
-        buf = io.StringIO()
-        wcsv = csv.writer(buf, lineterminator="\n")
         max_dim = max(b.dim for b in dec.blocks)
-        header = ["source"] + [f"a_{i+1}" for i in range(max_dim)] + [
-            f"F_1{k}" for k in range(2, args.n + 1)
-        ]
-        wcsv.writerow(header)
-        for s in samples:
-            for state, point in zip(s.states, s.points):
-                pad = [""] * (max_dim - len(state))
-                wcsv.writerow(
-                    [s.source] + [repr(float(x)) for x in state] + pad + [repr(float(x)) for x in point]
-                )
-        wcsv.writerow(["N"] + [""] * max_dim + [repr(float(x)) for x in npt])
-        _emit(args, buf.getvalue())
+
+        def rows():
+            yield ["source"] + [f"a_{i+1}" for i in range(max_dim)] + [
+                f"F_1{k}" for k in range(2, args.n + 1)
+            ]
+            for s in samples:
+                for state, point in zip(s.states, s.points):
+                    pad = [""] * (max_dim - len(state))
+                    yield [s.source] + [repr(float(x)) for x in state] + pad + [
+                        repr(float(x)) for x in point
+                    ]
+            yield ["N"] + [""] * max_dim + [repr(float(x)) for x in npt]
+
+        _emit(args, rows())
     else:
         body = {
             "n": args.n,
@@ -131,7 +138,7 @@ def cmd_region(args) -> int:
 
 def cmd_hull(args) -> int:
     dec = decompose(args.n, args.d)
-    hull = build_hull(dec, args.samples)
+    hull = build_hull(dec)
     body = {
         "n": args.n,
         "d": args.d,
@@ -139,9 +146,10 @@ def cmd_hull(args) -> int:
             "vertices": hull.vertices.tolist(),
             "sources": list(hull.sources),
             "facets": [
-                {"normal": nrm.tolist(), "offset": float(off)}
-                for nrm, off in zip(hull.facet_normals, hull.facet_offsets)
+                {"normal": nrm.tolist(), "offset": float(off), "support": float(h)}
+                for nrm, off, h in zip(hull.facet_normals, hull.facet_offsets, hull.facet_support)
             ],
+            "gap": hull.gap,
             "volume": hull.volume,
         },
     }
@@ -235,13 +243,14 @@ def cmd_channels(args) -> int:
     fidelities = [vector_singlet_fractions(W.T / np.sqrt(args.d), args.n, args.d)
                   for W in isometries]
     oracle = MembershipOracle(dec)
-    buf = io.StringIO()
-    wcsv = csv.writer(buf, lineterminator="\n")
-    wcsv.writerow(["seed"] + [f"F_1{k}" for k in range(2, args.n + 1)] + ["verdict"])
-    for seed, F in zip(seeds, fidelities):
-        verdict = oracle.classify(F, args.tol)
-        wcsv.writerow([seed] + [repr(float(x)) for x in F] + [verdict])
-    _emit(args, buf.getvalue())
+    verdicts = [oracle.classify(F, args.tol) for F in fidelities]
+
+    def rows():
+        yield ["seed"] + [f"F_1{k}" for k in range(2, args.n + 1)] + ["verdict"]
+        for seed, F, verdict in zip(seeds, fidelities, verdicts):
+            yield [seed] + [repr(float(x)) for x in F] + [verdict]
+
+    _emit(args, rows())
     return 0
 
 
@@ -299,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     specs = [
         ("irreps", cmd_irreps, "emit the block decomposition as JSON", ()),
         ("region", cmd_region, "emit sampled fidelity points", ("samples", "format")),
-        ("hull", cmd_hull, "emit the convex hull of the region", ("samples",)),
+        ("hull", cmd_hull, "emit the certified convex hull of the region", ()),
         ("check", cmd_check, "run the certification suite", ("seed",)),
         ("channels", cmd_channels, "sample Haar channels and classify them", ("samples", "seed", "tol")),
         ("symmetric", cmd_symmetric, "symmetric optimum and Werner reference", ()),

@@ -5,17 +5,18 @@ hull of the per-block regions { (1/d) <psi| B_{k-1} |psi> : |psi| = 1, real }
 together with the origin, the point of the semi-trivial ideal N: every
 fidelity observable V^{t_1}(1k) acts as zero on N.  The support function is
 then (1/d) lambda_max(sum_k w_k V^{t_1}(1k)) on the full space, its zero
-eigenvalues included, as the brute-force oracle confirms.  This
-module samples the block regions deterministically, builds 2D/3D convex hulls,
-evaluates the exact support function h(w) via extremal eigenvalues, and answers
-membership and constrained-maximization queries by column generation over the
-extreme points that the top eigenvectors give.
+eigenvalues included, as the brute-force oracle confirms.  This module
+evaluates h(w) exactly via extremal eigenvalues, finds the extreme points that
+the top eigenvectors give (batched over directions), builds certified 2D/3D
+hulls from them, and answers membership and constrained-maximization queries
+by column generation over the same extreme points.  It also samples the block
+regions deterministically, as plotting data for the `region` command.
 
 Only three functions import SciPy, inside their bodies: _solve_master
 (scipy.optimize.linprog, for membership, classify and constrained_max),
 build_hull (scipy.spatial.ConvexHull) and _sphere_grid past dimension 3
-(scipy.stats.qmc and scipy.special.ndtri, for sample_block_region).  The
-support function, extreme points and symmetric_max are NumPy only.
+(scipy.stats.qmc and scipy.special.ndtri, for the sampled points of `region`
+only).  The support function, extreme points and symmetric_max are NumPy only.
 """
 
 from __future__ import annotations
@@ -28,6 +29,13 @@ import numpy as np
 from .algebra import Decomposition, InconsistencyError, IrrepBlock, require_memory
 
 MAX_ROUNDS = 200
+# build_hull stops refining once the hull has this many facets (each costs an
+# eigensolve a round and a JSON object), or once no facet's support exceeds
+# its offset by more than the floor of rounding error
+HULL_FACETS = 5000
+GAP_FLOOR = 1e-12
+# matrix entries that extreme_points stacks into one eigensolver call
+_BATCH = 2**20
 # HiGHS at its default 1e-7 feasibility tolerances returns duals too coarse
 # to settle verdicts at 1e-9.
 _HIGHS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
@@ -106,26 +114,20 @@ def sample_block_region(block: IrrepBlock, count: int) -> RegionSample:
 
 def sample_region(dec: Decomposition, count: int) -> list[RegionSample]:
     """sample_block_region for every block; ValueError past the memory budget."""
-    # 240 bytes a sampled number: its float, Python object and output text
+    # 48 bytes a sampled number: its float and, for the JSON text, its Python
+    # float in a row list (40 B measured at (3,2)); text is streamed, never held
     numbers = count * sum(b.dim + dec.clone_count for b in dec.blocks)
-    require_memory(240 * numbers + 2**20, f"{count} samples of each block")
+    require_memory(48 * numbers + 2**20, f"{count} samples of each block")
     return [sample_block_region(b, count) for b in dec.blocks]
-
-
-def _top_block(dec: Decomposition, w: np.ndarray):
-    """(lambda_max, block, M) for the block whose M = sum_k w_k B_k tops the others."""
-    best = (-np.inf, None, None)
-    for block in dec.blocks:
-        M = sum(w[a] * block.generators[a] for a in range(dec.clone_count))
-        top = float(np.linalg.eigvalsh(M)[-1])
-        if top > best[0]:
-            best = (top, block, M)
-    return best
 
 
 def block_support(dec: Decomposition, w: np.ndarray) -> float:
     """max over blocks of (1/d) lambda_max(sum_k w_k B_k); the origin excluded."""
-    return _top_block(dec, np.asarray(w, dtype=float))[0] / dec.d
+    w = np.asarray(w, dtype=float)
+    return max(
+        float(np.linalg.eigvalsh(sum(w[a] * B for a, B in enumerate(block.generators)))[-1])
+        for block in dec.blocks
+    ) / dec.d
 
 
 def support(dec: Decomposition, w: np.ndarray) -> float:
@@ -140,25 +142,47 @@ def support(dec: Decomposition, w: np.ndarray) -> float:
     return max(block_support(dec, w), 0.0)
 
 
-def extreme_point(dec: Decomposition, w: np.ndarray) -> tuple[np.ndarray, float]:
-    """A point x of the region with <w, x> = h(w), and h(w).
+def _stacked(block: IrrepBlock, W: np.ndarray, solve) -> np.ndarray:
+    """solve(M) for M = sum_k W[r, k] B_k stacked over the rows r of W, _BATCH entries a call."""
+    step = max(1, _BATCH // block.generators[0].size)
+    out = []
+    for rows in (W[i : i + step] for i in range(0, len(W), step)):
+        out.append(solve(sum(rows[:, a, None, None] * B for a, B in enumerate(block.generators))))
+    return np.concatenate(out)
 
-    x is the origin when every block eigenvalue along w is negative, otherwise
-    the fidelity vector of the top eigenvector of sum_k w_k B_k in the winning block.
+
+def extreme_points(dec: Decomposition, W: np.ndarray):
+    """Points X[r] of the region with <W[r], X[r]> = h(W[r]), h, and their sources.
+
+    source[r] indexes dec.blocks, or is -1 where X[r] is the origin: where
+    every block eigenvalue along W[r] is negative.  Otherwise X[r] is the
+    fidelity vector of the top eigenvector of sum_k W[r, k] B_k in the first
+    block whose top eigenvalue is largest.  Top eigenvalues come from
+    eigvalsh in every block, eigenvectors from eigh in the winning block only.
     """
-    w = np.asarray(w, dtype=float)
-    top, block, M = _top_block(dec, w)
-    if top < 0:
-        return np.zeros(dec.clone_count), 0.0
-    return fidelity_vector(block, np.linalg.eigh(M)[1][:, -1]), top / dec.d
+    W = np.asarray(W, dtype=float).reshape(-1, dec.clone_count)
+    tops = np.array([_stacked(b, W, lambda M: np.linalg.eigvalsh(M)[:, -1]) for b in dec.blocks])
+    source = np.argmax(tops, axis=0)
+    h = tops[source, np.arange(len(W))]
+    source[h < 0] = -1
+    X = np.zeros(W.shape)
+    for i, block in enumerate(dec.blocks):
+        rows = source == i
+        if rows.any():
+            psi = _stacked(block, W[rows], lambda M: np.linalg.eigh(M)[1][:, :, -1])
+            X[rows] = np.column_stack([np.sum(psi @ B * psi, axis=1) for B in block.generators]) / dec.d
+    return X, np.maximum(h, 0.0) / dec.d, source
 
 
-def axis_width(dec: Decomposition, u: np.ndarray) -> float:
-    """Width of the block part of the region along the unit direction u."""
-    u = np.asarray(u, dtype=float)
-    if abs(np.linalg.norm(u) - 1.0) > 1e-10:
-        raise ValueError("direction must be a unit vector")
-    return block_support(dec, u) + block_support(dec, -u)
+def extreme_point(dec: Decomposition, w: np.ndarray) -> tuple[np.ndarray, float]:
+    """A point x of the region with <w, x> = h(w), and h(w): extreme_points for one w."""
+    X, h, _ = extreme_points(dec, w)
+    return X[0], float(h[0])
+
+
+def _seed_directions(N: int) -> np.ndarray:
+    """The 2N + 2 directions +-e_k and +-(1, ..., 1) whose extreme points seed R."""
+    return np.vstack([np.eye(N), -np.eye(N), np.ones(N), -np.ones(N)])
 
 
 def symmetric_max(dec: Decomposition) -> float:
@@ -169,38 +193,65 @@ def symmetric_max(dec: Decomposition) -> float:
 
 @dataclass(frozen=True)
 class RegionHull:
-    """Convex hull of the sampled region: vertices, facets, provenance."""
+    """Inner polytope of the region: exact extreme points, facets and their exact support.
+
+    normal . x <= facet_support holds on the whole region for every facet, and
+    gap = max(facet_support - facet_offsets) bounds how far the region reaches
+    past the polytope.
+    """
 
     dim: int
     vertices: np.ndarray
     sources: tuple[str, ...]
     facet_normals: np.ndarray  # outward unit normals
     facet_offsets: np.ndarray  # normal . x <= offset
+    facet_support: np.ndarray  # h(normal)
+    gap: float
     volume: float
 
 
-def build_hull(dec: Decomposition, samples_per_block: int = 10**4) -> RegionHull:
-    """Convex hull of the block samples plus the origin, source "N" (2D/3D only)."""
+def build_hull(dec: Decomposition) -> RegionHull:
+    """Hull of exact extreme points, refined along its facet normals (2D/3D only).
+
+    Sandwich (Rote, Computing 48, 337 (1992)) and estimate refinement (Lotov,
+    Bushenkov and Kamenev, Interactive Decision Maps, 2004): from the origin,
+    source "N", and the extreme points along the seed directions, each round
+    adds the extreme point along every facet normal whose gap, support minus
+    offset, exceeds GAP_FLOOR and a quarter of the round's largest gap.  It
+    stops when no gap exceeds GAP_FLOOR or the hull has HULL_FACETS facets;
+    the round that would pass the budget adds the largest gaps only.
+    """
     N = dec.clone_count
     if N not in (2, 3):
-        raise ValueError(
-            f"sampled hulls only for 2 or 3 clones (got {N}); use support/membership"
-        )
+        raise ValueError(f"hulls only for 2 or 3 clones (got {N}); use support/membership")
     from scipy.spatial import ConvexHull
 
-    samples = sample_region(dec, samples_per_block)
-    pts = np.vstack([s.points for s in samples] + [np.zeros((1, N))])
-    srcs = [s.source for s in samples for _ in range(len(s.points))] + ["N"]
-    hull = ConvexHull(pts)
-    normals = hull.equations[:, :-1]
-    offsets = -hull.equations[:, -1]
-    lens = np.linalg.norm(normals, axis=1)
+    X, _, source = extreme_points(dec, _seed_directions(N))
+    pts, src = np.vstack([np.zeros((1, N)), X]), np.r_[-1, source]
+    for _ in range(MAX_ROUNDS):
+        hull = ConvexHull(pts)
+        lens = np.linalg.norm(hull.equations[:, :-1], axis=1)
+        normals, offsets = hull.equations[:, :-1] / lens[:, None], -hull.equations[:, -1] / lens
+        X, h, source = extreme_points(dec, normals)
+        gap = h - offsets
+        # a gap grows as its facet's width squared: refine the facets within a
+        # factor 2 of the widest
+        grow = np.flatnonzero(gap > max(GAP_FLOOR, gap.max() / 4))
+        room = (HULL_FACETS - len(normals)) // (N - 1)  # a new vertex adds N - 1 facets
+        if not grow.size or room <= 0:
+            break
+        grow = grow[np.argsort(gap[grow])[-room:]]
+        pts = np.vstack([pts[hull.vertices], X[grow]])
+        src = np.r_[src[hull.vertices], source[grow]]
+    labels = [str(b.alpha.parts) for b in dec.blocks] + ["N"]  # source -1 is "N"
     return RegionHull(
         dim=N,
         vertices=pts[hull.vertices],
-        sources=tuple(srcs[i] for i in hull.vertices),
-        facet_normals=normals / lens[:, None],
-        facet_offsets=offsets / lens,
+        sources=tuple(labels[i] for i in src[hull.vertices]),
+        facet_normals=normals,
+        facet_offsets=offsets,
+        facet_support=h,
+        gap=float(gap.max()),
         volume=float(hull.volume),
     )
 
@@ -242,12 +293,11 @@ class MembershipOracle:
     def __init__(self, dec: Decomposition):
         self.dec = dec
         N = dec.clone_count
-        seeds = np.vstack([np.eye(N), -np.eye(N), np.ones(N), -np.ones(N)])
-        found = [extreme_point(dec, w) for w in seeds]
-        self.points = np.array([x for x, _ in found])
+        seeds = _seed_directions(N)
+        self.points, h, _ = extreme_points(dec, seeds)
         self.seed_count = len(seeds)
         self.center = self.points.mean(axis=0)
-        self.cuts = np.array([w / (h - w @ self.center) for w, (_, h) in zip(seeds, found)])
+        self.cuts = seeds / (h - seeds @ self.center)[:, None]
         self.bases = np.empty((0, N, N))  # columns x_j - c of optimal gauge-LP bases
 
     def _generate(self, master, direction, bound, settle, lower=-np.inf, center=None):

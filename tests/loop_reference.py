@@ -4,14 +4,23 @@ The Young orthogonal form is built tableau by tableau with Python loops, Q(alpha
 from Permutation words multiplied out densely, and each block by eigendecomposing
 Q(alpha) and labeling its eigenvectors with the predicted spectrum d + c(nu/alpha).
 None of this calls the package's Young form, build_Q or build_block.
+
+Also here, because only tests use them: the published generator matrices for
+n = 3 and n = 4 (reference_fixtures), a basis-independent comparison of
+generator families (blocks_equivalent), the clone-indexed generator lookup
+(clone_observable) and the width of the block region along a direction
+(axis_width).
 """
 
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
+from cloneregion.algebra import Decomposition, IrrepBlock
+from cloneregion.regions import block_support
 from cloneregion.symgroup import Partition, Permutation, branch_up
 
 
@@ -109,3 +118,110 @@ def eigh_block(alpha: Partition, n: int, d: int):
     w = alpha.dimension
     generators = [Y[a * w : (a + 1) * w].T @ Y[a * w : (a + 1) * w] for a in range(n - 1)]
     return eigenvalues, labels, generators
+
+
+# Unit vectors u_a and diagonal scalings D with B_a = D u_a u_a^T D for the
+# rank-one n=4 generator matrices; u^T D^2 u = d guarantees B_a^2 = d B_a.
+_U4 = {
+    (2,): [
+        [1 / np.sqrt(6), -1 / np.sqrt(2), 1 / np.sqrt(3)],
+        [1 / np.sqrt(6), 1 / np.sqrt(2), 1 / np.sqrt(3)],
+        [np.sqrt(2.0 / 3.0), 0.0, -1 / np.sqrt(3)],
+    ],
+    (1, 1): [
+        [1 / np.sqrt(2), -1 / np.sqrt(6), -1 / np.sqrt(3)],
+        [1 / np.sqrt(2), 1 / np.sqrt(6), 1 / np.sqrt(3)],
+        [0.0, np.sqrt(2.0 / 3.0), -1 / np.sqrt(3)],
+    ],
+}
+
+
+def _diag4(alpha: Partition, d: int) -> np.ndarray:
+    if alpha.parts == (2,):
+        return np.diag(np.sqrt([d - 1.0, d - 1.0, d + 2.0]))
+    return np.diag(np.sqrt([d + 1.0, d + 1.0, d - 2.0]))
+
+
+def reference_fixtures(n: int, d: int) -> list[tuple[Partition, list[np.ndarray]]]:
+    """Known-good generator matrices for n = 3 and n = 4.
+
+    For n = 3 (one block) and for the 2x2 block at n = 4, d = 2 these are
+    the published closed forms verbatim.  The rank-one 3x3 forms at n = 4
+    appear in print with an overall 1/3 that breaks the defining relation
+    B^2 = d B (it would cap the top fidelity at 1/3); here they are returned
+    as D u u^T D with unit u, which restores the relation and the trace
+    identity tr B = d * dim_phi.
+    """
+    if n == 3:
+        s = np.sqrt(d**2 - 1.0)
+        v13 = 0.5 * np.array([[d + 1.0, -s], [-s, d - 1.0]])
+        v23 = 0.5 * np.array([[d + 1.0, s], [s, d - 1.0]])
+        return [(Partition((1,)), [v13, v23])]
+    if n == 4:
+        out = []
+        a1 = Partition((2,))
+        D1 = _diag4(a1, d)
+        out.append(
+            (a1, [D1 @ np.outer(u, u) @ D1 for u in map(np.asarray, _U4[(2,)])])
+        )
+        a2 = Partition((1, 1))
+        if d >= 3:
+            D2 = _diag4(a2, d)
+            mats = [D2 @ np.outer(u, u) @ D2 for u in map(np.asarray, _U4[(1, 1)])]
+        else:
+            r3 = np.sqrt(3.0)
+            mats = [
+                3 * np.array([[1 / 2, -1 / (2 * r3)], [-1 / (2 * r3), 1 / 6]]),
+                3 * np.array([[1 / 2, 1 / (2 * r3)], [1 / (2 * r3), 1 / 6]]),
+                3 * np.array([[0.0, 0.0], [0.0, 2 / 3]]),
+            ]
+        out.append((a2, mats))
+        return out
+    raise ValueError(f"reference matrices available only for n in {{3, 4}}, got {n}")
+
+
+def blocks_equivalent(
+    X: Sequence[np.ndarray], Y: Sequence[np.ndarray], tol: float = 1e-10
+) -> bool:
+    """Basis-independent comparison of two generator families.
+
+    Compares traces of all words of length <= 3 in the generators; these are
+    invariant under simultaneous orthogonal conjugation and separate the
+    block families arising here.
+    """
+    if len(X) != len(Y):
+        raise ValueError("generator counts differ")
+    for x, y in zip(X, Y):
+        if x.shape != y.shape:
+            raise ValueError("generator shapes differ")
+    m = len(X)
+    for a in range(m):
+        if abs(np.trace(X[a]) - np.trace(Y[a])) > tol:
+            return False
+    for a in range(m):
+        for b in range(m):
+            if abs(np.trace(X[a] @ X[b]) - np.trace(Y[a] @ Y[b])) > tol:
+                return False
+    for a in range(m):
+        for b in range(m):
+            for c in range(m):
+                tx = np.trace(X[a] @ X[b] @ X[c])
+                ty = np.trace(Y[a] @ Y[b] @ Y[c])
+                if abs(tx - ty) > tol:
+                    return False
+    return True
+
+
+def clone_observable(block: IrrepBlock, k: int) -> np.ndarray:
+    """Fidelity observable for clone k: the image of the transposition (k-1, n)."""
+    if not 2 <= k <= block.n:
+        raise ValueError(f"clone index k must be in 2..{block.n}, got {k}")
+    return block.generators[k - 2]
+
+
+def axis_width(dec: Decomposition, u: np.ndarray) -> float:
+    """Width of the block part of the region along the unit direction u."""
+    u = np.asarray(u, dtype=float)
+    if abs(np.linalg.norm(u) - 1.0) > 1e-10:
+        raise ValueError("direction must be a unit vector")
+    return block_support(dec, u) + block_support(dec, -u)

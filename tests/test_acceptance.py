@@ -10,13 +10,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from cloneregion.algebra import (
-    blocks_equivalent,
-    build_Q,
-    build_block,
-    decompose,
-    reference_fixtures,
-)
+from cloneregion.algebra import build_Q, build_block, decompose
 from cloneregion.oracle import (
     choi_state,
     clone_fidelity_from_singlet,
@@ -27,11 +21,12 @@ from cloneregion.oracle import (
 )
 from cloneregion.regions import (
     MembershipOracle,
-    axis_width,
     support,
     symmetric_max,
 )
 from cloneregion.symgroup import Partition
+
+from loop_reference import axis_width, blocks_equivalent, reference_fixtures
 
 
 def P(*parts):

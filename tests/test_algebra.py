@@ -9,17 +9,20 @@ from cloneregion.algebra import (
     InconsistencyError,
     admissible_M_irreps,
     admissible_N_irreps,
-    blocks_equivalent,
     build_Q,
     build_block,
-    clone_observable,
     decompose,
     decomposition_to_dict,
-    reference_fixtures,
 )
 from cloneregion.symgroup import Partition, branch_up, young_orthogonal_rep
 
-from loop_reference import eigh_block, reference_Q
+from loop_reference import (
+    blocks_equivalent,
+    clone_observable,
+    eigh_block,
+    reference_fixtures,
+    reference_Q,
+)
 
 
 def P(*parts):

@@ -52,6 +52,7 @@ class TestIrreps:
         ("irreps", "--tol", "1e-6"),
         ("region", "--tol", "1e-6"),
         ("hull", "--tol", "1e-6"),
+        ("hull", "--samples", "64"),
         ("check", "--tol", "1e-6"),
         ("symmetric", "--tol", "1e-6"),
     ])
@@ -91,14 +92,16 @@ class TestRegion:
 
 class TestHull:
     def test_facets_and_vertices(self, capsys):
-        code, out, _ = run(capsys, "hull", "--n", "3", "--d", "2", "--samples", "512")
+        code, out, _ = run(capsys, "hull", "--n", "3", "--d", "2")
         assert code == 0
         doc = json.loads(out)
         hull = doc["hull"]
         assert hull["volume"] > 0
+        assert 0 <= hull["gap"] <= 1e-7
         for facet in hull["facets"]:
             n2 = sum(x * x for x in facet["normal"])
             assert n2 == pytest.approx(1.0, abs=1e-12)
+            assert facet["offset"] - 1e-12 <= facet["support"] <= facet["offset"] + hull["gap"]
 
     def test_too_many_clones(self, capsys):
         code, _, err = run(capsys, "hull", "--n", "5", "--d", "2")
@@ -268,7 +271,7 @@ class TestEveryFlagIsUsed:
     @pytest.mark.parametrize("runs", [
         [("irreps",)],
         [("region", "--samples", "8")],
-        [("hull", "--samples", "64")],
+        [("hull",)],
         [("check",)],
         [("channels", "--samples", "2")],
         [("symmetric",)],

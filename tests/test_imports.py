@@ -35,7 +35,7 @@ jobs = [
     ["convert", "--d", "2", "--singlet", "0.75"],
     "symmetric_max(decompose(6, 3))",
     ["irreps", "--n", "4", "--d", "2"],
-    ["hull", "--n", "4", "--d", "2", "--samples", "50"],
+    ["hull", "--n", "4", "--d", "2"],
     ["channels", "--n", "3", "--d", "2", "--samples", "5"],
     ["region", "--n", "5", "--d", "2", "--samples", "10"],
 ]

@@ -71,7 +71,6 @@ def run_under_address_limit(jobs, limit=ADDRESS_LIMIT):
 
 REFUSED = [
     ["region", "--n", "6", "--d", "6", "--samples", "100000000"],
-    ["hull", "--n", "4", "--d", "3", "--samples", "100000000"],
     ["irreps", "--n", "1000", "--d", "2"],
     ["check", "--n", "6", "--d", "40"],
 ]
@@ -152,7 +151,6 @@ SITES = [
     ("haar_isometry", (8, 5)), ("haar_isometry", (4, 5)), ("haar_isometry", (2, 14)),
     ("region", (3, 2, "--samples", 2000)), ("region", (4, 3, "--samples", 2000)),
     ("region", (4, 3, "--samples", 2000, "--format", "csv")),
-    ("hull", (3, 2, "--samples", 2000)), ("hull", (4, 2, "--samples", 2000)),
     ("perm_operator", (6, 3)), ("perm_operator", (5, 4)),
     ("pt_transposition", (6, 3)), ("pt_transposition", (5, 4)),
 ]

@@ -2,21 +2,25 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from cloneregion import regions
 from cloneregion.algebra import decompose
 from cloneregion.regions import (
     InfeasibleError,
+    GAP_FLOOR,
     MembershipOracle,
-    axis_width,
     block_support,
     build_hull,
     constrained_max,
     extreme_point,
+    extreme_points,
     fidelity_vector,
     membership,
     sample_block_region,
     support,
     symmetric_max,
 )
+
+from loop_reference import axis_width
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +30,7 @@ def dec32():
 
 @pytest.fixture(scope="module")
 def hull32(dec32):
-    return build_hull(dec32, samples_per_block=10**4)
+    return build_hull(dec32)
 
 
 class TestFidelityVector:
@@ -162,21 +166,42 @@ class TestHull:
             np.linalg.norm(hull32.facet_normals, axis=1), 1.0, atol=1e-12
         )
 
-    def test_volume_converges(self, dec32, hull32):
-        finer = build_hull(dec32, samples_per_block=2 * 10**4)
-        assert abs(finer.volume - hull32.volume) / hull32.volume < 1e-4
+    @pytest.mark.parametrize("n,d,bound", [
+        (3, 2, 1e-7), (3, 5, 1e-7),
+        # below what the hull of 10^4 sampled states per block missed by
+        (4, 2, 9.9e-4), (4, 3, 1.06e-3),
+    ])
+    def test_gap_bound(self, n, d, bound):
+        hull = build_hull(decompose(n, d))
+        assert -GAP_FLOOR <= hull.gap <= bound
+        assert hull.gap == np.max(hull.facet_support - hull.facet_offsets)
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 10, 50])
+    def test_vertices_on_cerf_ellipse(self, d):
+        # the 1->2 block region is the ellipse (F1 + F2 - (1 - 1/d^2))^2 = 4 F1 F2 / d^2,
+        # and every hull vertex but the origin is one of its extreme points
+        hull = build_hull(decompose(3, d))
+        F1, F2 = hull.vertices[np.array(hull.sources) != "N"].T
+        assert len(F1) > 1000
+        np.testing.assert_allclose((F1 + F2 - (1 - 1 / d**2)) ** 2, 4 * F1 * F2 / d**2,
+                                   rtol=0, atol=1e-12)
 
     def test_n_point_vertex_at_d4(self):
         dec = decompose(3, 4)
-        hull = build_hull(dec, 10**4)
+        hull = build_hull(dec)
         # the origin sticks out below the ellipse (symmetric minimum 3/8)
         i = np.argmin(np.linalg.norm(hull.vertices, axis=1))
         np.testing.assert_array_equal(hull.vertices[i], [0.0, 0.0])
         assert hull.sources[i] == "N"
 
-    def test_3d_hull_builds(self):
+    def test_3d_hull_builds(self, monkeypatch):
+        def sampled(*args):
+            raise AssertionError("the hull is built from exact extreme points, not samples")
+
+        monkeypatch.setattr(regions, "sample_region", sampled)
+        monkeypatch.setattr(regions, "sample_block_region", sampled)
         dec = decompose(4, 2)
-        hull = build_hull(dec, 4000)
+        hull = build_hull(dec)
         assert hull.dim == 3
         assert hull.volume > 0
         slack = hull.facet_normals @ hull.vertices.T - hull.facet_offsets[:, None]
@@ -184,7 +209,50 @@ class TestHull:
 
     def test_unsupported_dimension(self):
         with pytest.raises(ValueError):
-            build_hull(decompose(5, 2), 100)
+            build_hull(decompose(5, 2))
+
+
+class TestHullCertificate:
+    """The hull's claims, checked by the scalar support and membership paths."""
+
+    @pytest.fixture(scope="class", params=[(4, 2), (4, 3)], ids=["4-2", "4-3"])
+    def case(self, request):
+        dec = decompose(*request.param)
+        hull = build_hull(dec)
+        rng = np.random.Generator(np.random.PCG64(sum(request.param)))
+        return dec, hull, rng.choice(len(hull.facet_normals), 200, replace=False)
+
+    def test_facets_are_valid_inequalities(self, case):
+        dec, hull, facets = case
+        for f in facets:
+            h = support(dec, hull.facet_normals[f])
+            assert h <= hull.facet_offsets[f] + hull.gap + 1e-12
+            assert hull.facet_support[f] == pytest.approx(h, abs=1e-12)
+
+    def test_vertices_are_members(self, case):
+        # about 60 ms a boundary point, so the vertices of 10 of the facets
+        dec, hull, facets = case
+        slack = hull.vertices @ hull.facet_normals[facets[:10]].T - hull.facet_offsets[facets[:10]]
+        on_facets = hull.vertices[np.any(np.abs(slack) <= 1e-12, axis=1)]
+        assert len(on_facets) >= hull.dim
+        oracle = MembershipOracle(dec)
+        for x in on_facets:
+            assert oracle.classify(x) in ("inside", "boundary")
+
+
+class TestExtremePoints:
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_batched_rows_equal_single(self, n):
+        # several blocks compete along random directions at n >= 5
+        dec = decompose(n, 3)
+        W = np.random.Generator(np.random.PCG64(n)).normal(size=(40, n - 1))
+        X, h, source = extreme_points(dec, W)
+        assert len(set(source.tolist())) > 1
+        for w, x, top in zip(W, X, h):
+            x1, h1 = extreme_point(dec, w)
+            np.testing.assert_allclose(x, x1, rtol=0, atol=1e-12)
+            assert top == pytest.approx(h1, abs=1e-12)
+            assert w @ x == pytest.approx(top, abs=1e-12)
 
 
 class TestMembership:
