@@ -33,7 +33,7 @@ from typing import Iterable
 import numpy as np
 
 from . import __version__
-from .algebra import decompose, decomposition_to_dict
+from .algebra import decompose, decomposition_to_dict, require_memory
 from .oracle import (
     InconsistencyError,
     clone_fidelity_from_singlet,
@@ -186,7 +186,7 @@ def run_checks(n: int, d: int, seed: int = 0) -> list[tuple[str, bool, str]]:
         for _ in range(5):
             reps.append(full_vs_block_spectrum(dec, rng.normal(size=n - 1)))
         gap = max(rep.max_abs_gap for rep in reps)
-        ok, detail = gap <= 1e-8, f"max gap {gap:.2e}"
+        ok, detail = gap <= 1e-8, "max gap {:.2e}; {} sectors for {}".format(gap, *reps[0].sectors)
     except InconsistencyError as exc:
         ok, detail = False, str(exc)
     add("full vs block spectra (5 random directions)", ok, detail)
@@ -201,6 +201,7 @@ def run_checks(n: int, d: int, seed: int = 0) -> list[tuple[str, bool, str]]:
 
     # (1/d) sum_i (|i><i|)^{x n}: the mean over the product vectors |i..i>,
     # the basis vectors at multiples of step = (d^n - 1)/(d - 1)
+    require_memory(16 * d**n + 2**20, f"the product vectors of (C^{d})^{n}")
     step = (d**n - 1) // (d - 1)
     F = np.mean(
         [vector_singlet_fractions(np.eye(1, d**n, i * step), n, d) for i in range(d)], axis=0
@@ -272,11 +273,9 @@ def cmd_convert(args) -> int:
     if args.singlet is not None:
         f = clone_fidelity_from_singlet(args.singlet, args.d)
         _emit(args, f"f = {f:.9f}\n")
-    elif args.clone_fidelity is not None:
+    else:
         F = singlet_from_clone_fidelity(args.clone_fidelity, args.d)
         _emit(args, f"F = {F:.9f}\n")
-    else:
-        raise SystemExit("error: pass --singlet F or --clone-fidelity f")
     return 0
 
 
@@ -320,11 +319,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convert", help="singlet fraction <-> clone fidelity")
     p.add_argument("--d", type=int, default=2)
-    p.add_argument("--singlet", type=float, default=None, help="singlet fraction F")
-    p.add_argument(
-        "--clone-fidelity", dest="clone_fidelity", type=float, default=None,
-        help="clone fidelity f",
-    )
+    given = p.add_mutually_exclusive_group(required=True)
+    given.add_argument("--singlet", type=float, help="singlet fraction F")
+    given.add_argument("--clone-fidelity", dest="clone_fidelity", type=float,
+                       help="clone fidelity f")
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=cmd_convert)
     return parser

@@ -7,24 +7,28 @@ is used to certify it.
 
 The spectrum certifier never forms a d^n x d^n matrix. Every
 X_k = V^{t_1}(1k) conserves, for each colour c, the charge
-q_c = #{legs 2..n equal to c} - [leg 1 = c], so sum_k w_k X_k is built from
-index arithmetic one charge sector at a time and each sector is diagonalized
-densely, the index arrays and the largest batch of sectors within the
-memory budget. Mixed Schur-Weyl duality repeats block alpha
-r(alpha) = s_alpha(1^d) times and leaves the rest of those sectors zero, so
-one sorted comparison certifies the blocks, with nothing fitted. Singlet
-fractions of a pure state come from its vector.
+q_c = #{legs 2..n equal to c} - [leg 1 = c], and every colour permutation
+P^{x n} (P real, so P-bar = P on the transposed leg) commutes with X_k and
+maps sector q onto sector P(q) with the same spectrum. So sum_k w_k X_k is
+diagonalized on one representative sector a colour orbit, one orbit for each
+partition of n - 2 with at most d parts, whose eigenvalues count once for
+each of the orbit's d! / ((d - l)! prod_j m_j!) sectors. Mixed Schur-Weyl
+duality repeats block alpha r(alpha) = s_alpha(1^d) times and leaves the rest
+of those sectors zero, so one sorted comparison certifies the blocks, with
+nothing fitted. Singlet fractions of a pure state come from its vector.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 import numpy.random  # NumPy 2 loads it lazily; load it with the package, not on first draw
 
-from .algebra import MEMORY_BUDGET, Decomposition, InconsistencyError, require_memory
-from .symgroup import Permutation
+from .algebra import Decomposition, InconsistencyError, require_memory
+from .symgroup import Permutation, partitions_of
 
 
 @dataclass(frozen=True)
@@ -81,83 +85,67 @@ def pt_transposition(k: int, n: int, d: int) -> DenseOperator:
 
 
 def sector_blocks(w: np.ndarray, n: int, d: int):
-    """Yield (indices, blocks) of sum_k w_{k-2} V^{t_1}(1k), one charge sector a block.
+    """Yield (orbit, indices, block) of sum_k w_{k-2} V^{t_1}(1k), one charge orbit a block.
 
     X_k = V^{t_1}(1k) sends |i> with i_1 = i_k to sum_a |i with legs 1 and k
-    set to a>, so the sum has (n-1) d^n nonzero entries and no d^n x d^n array
-    is needed. Every X_k conserves q_c = #{legs 2..n equal to c} - [leg 1 = c].
+    set to a>. Every X_k conserves q_c = #{legs 2..n equal to c} - [leg 1 = c].
     A sector with some q_c = -1 (leg 1's colour absent from legs 2..n) lies in
     the kernel of every X_k and is skipped; on the others q is the multiset of
     n - 2 colours left on legs 2..n after one copy of leg 1's colour is removed.
+    A colour permutation P is a real permutation matrix, so P^{x n} commutes
+    with every X_k and maps sector q onto sector P(q) with the same spectrum.
+    One sector therefore stands for each multiplicity type lambda of q, a
+    partition of n - 2 with at most d parts, whose orbit holds
+    d! / ((d - l(lambda))! prod_j m_j!) sectors (m_j parts equal to j).
 
-    `indices` (m, s) holds the ascending basis indices of m sectors of size s and
-    `blocks` (m, s, s) their dense blocks; sectors come by increasing size, at
-    most MEMORY_BUDGET // 128 block entries at a time unless one sector holds
-    more. Raises ValueError, before allocating them, when the index arrays or
-    the largest batch would pass the memory budget, and InconsistencyError if
-    an entry joins two sectors.
+    The representative is q = (0^{lambda_1}, 1^{lambda_2}, ...): its states put
+    colour c on leg 1 and an arrangement of q + {c} on legs 2..n, enumerated
+    in ascending order by prefix extension. `indices` holds them and `block`
+    the dense restriction. Raises ValueError, before allocating any block,
+    when the largest representative would pass the memory budget, and
+    InconsistencyError if the orbits do not cover the kept states or an
+    entry joins two sectors.
     """
-    # digits, the (n-1) d^n entries and their sorted copies: 10 n + 16 words a state
-    index_bytes = 8 * d**n * (10 * n + 16) + 2**20
-    require_memory(index_bytes, f"the charge sectors of (C^{d})^{n}")
     w = np.asarray(w, dtype=float)
-    idx = np.arange(d**n)
-    digits = (idx[:, None] // d ** np.arange(n - 1, -1, -1)) % d
+    types = [lam for lam in partitions_of(n - 2) if lam.height <= d]
+    orbits = [math.perm(d, lam.height)
+              // math.prod(map(math.factorial, Counter(lam.parts).values())) for lam in types]
+    # the arrangements of q + {c}, summed over c: m = (n-1)!/prod_j lambda_j! for c not in q
+    ways = [math.factorial(n - 1) // math.prod(map(math.factorial, lam.parts)) for lam in types]
+    sizes = [sum(m // (p + 1) for p in lam.parts) + (d - lam.height) * m
+             for lam, m in zip(types, ways)]
+    kept = d * (d ** (n - 1) - (d - 1) ** (n - 1))  # the states with leg 1's colour on legs 2..n
+    covered = sum(map(math.prod, zip(orbits, sizes)))
+    if covered != kept:
+        raise InconsistencyError(f"the charge orbits cover {covered} states, not {kept}")
+    # the block, eigvalsh's copy and its workspace; the enumeration and one X_k's entries
+    s_max = max(sizes)
+    require_memory(24 * s_max**2 + 64 * s_max * (n + d) + 2**20,
+                   f"the charge sectors of (C^{d})^{n} up to size {s_max}")
 
-    rest = digits[:, 1:].copy()
-    hit = rest == digits[:, :1]
-    rest[idx, hit.argmax(axis=1)] = d  # out of range, so it sorts last and is dropped
-    rest.sort(axis=1)
-    states = np.flatnonzero(hit.any(axis=1))
-    charge = rest[states, :-1] @ d ** np.arange(n - 3, -1, -1)
-    _, sector, sizes = np.unique(charge, return_inverse=True, return_counts=True)
-    # the largest batch holds max(batch, s_max^2) entries, and no more than all
-    # sectors together; it is counted thrice: bincount, its result, a LAPACK copy
-    batch = MEMORY_BUDGET // 128
-    largest = min(max(batch, int(sizes.max()) ** 2), int(np.sum(sizes**2)))
-    require_memory(index_bytes + 24 * largest, f"charge sectors up to size {sizes.max()}")
-
-    # renumber sectors by size and lay their states out contiguously
-    by_size = np.argsort(sizes, kind="stable")
-    sizes = sizes[by_size]
-    sector = np.argsort(by_size)[sector.reshape(-1)]
-    order = np.argsort(sector, kind="stable")
-    states, sector = states[order], sector[order]
-    starts = np.concatenate(([0], np.cumsum(sizes)))
-    sector_of = np.full(d**n, -1)
-    sector_of[states] = sector
-    local_of = np.zeros(d**n, dtype=np.int64)
-    local_of[states] = np.arange(states.size) - starts[sector]
-
-    rows, cols, vals = [], [], []
-    for k in range(2, n + 1):
-        step = d ** (n - 1) + d ** (n - k)  # moves legs 1 and k together by one
-        col = idx[digits[:, 0] == digits[:, k - 1]]
-        base = col - digits[col, 0] * step
-        rows.append((base[:, None] + np.arange(d) * step).reshape(-1))
-        cols.append(np.repeat(col, d))
-        vals.append(np.full(col.size * d, w[k - 2]))
-    rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-    entry_sector = sector_of[rows]
-    crossing = entry_sector != sector_of[cols]
-    if np.any(crossing):
-        r, c = rows[crossing][0], cols[crossing][0]
-        raise InconsistencyError(f"entry ({r}, {c}) joins two charge sectors")
-    order = np.argsort(entry_sector, kind="stable")
-    entry_sector, rows, cols, vals = entry_sector[order], rows[order], cols[order], vals[order]
-
-    first = 0
-    while first < sizes.size:
-        s = int(sizes[first])
-        same = first + int(np.searchsorted(sizes[first:], s, side="right"))
-        last = min(same, first + max(1, batch // s**2))
-        lo, hi = np.searchsorted(entry_sector, [first, last])
-        flat = (entry_sector[lo:hi] - first) * s + local_of[rows[lo:hi]]
-        flat = flat * s + local_of[cols[lo:hi]]
-        blocks = np.bincount(flat, weights=vals[lo:hi], minlength=(last - first) * s * s)
-        yield (states[starts[first] : starts[last]].reshape(-1, s),
-               blocks.reshape(-1, s, s))
-        first = last
+    for lam, orbit, s in zip(types, orbits, sizes):
+        states = np.arange(d)  # leg 1, then legs 2..n one at a time
+        left = np.eye(d, dtype=np.int64) + np.pad(lam.parts, (0, d - lam.height))
+        for _ in range(n - 1):
+            prefix, colour = np.nonzero(left)
+            states = states[prefix] * d + colour
+            left = left[prefix]
+            left[np.arange(colour.size), colour] -= 1
+        if states.size != s:
+            raise InconsistencyError(f"sector {lam.parts} holds {states.size} states, not {s}")
+        block = np.zeros((s, s))
+        first = states // d ** (n - 1)
+        for k in range(2, n + 1):
+            step = d ** (n - 1) + d ** (n - k)  # moves legs 1 and k together by one
+            col = np.flatnonzero(first == states // d ** (n - k) % d)
+            rows = (states[col] - first[col] * step)[:, None] + np.arange(d) * step
+            row = np.minimum(np.searchsorted(states, rows), s - 1)
+            if np.any(states[row] != rows):
+                i, a = np.argwhere(states[row] != rows)[0]
+                raise InconsistencyError(
+                    f"entry ({rows[i, a]}, {states[col[i]]}) joins two charge sectors")
+            block[row, col[:, None]] += w[k - 2]
+        yield orbit, states, block
 
 
 def _ptrace_to(rho: np.ndarray, keep: tuple[int, ...], n: int, d: int) -> np.ndarray:
@@ -306,14 +294,16 @@ class SpectrumReport:
     predicted: np.ndarray
     r: dict
     max_abs_gap: float
+    sectors: tuple[int, int]  # representative charge sectors diagonalized, sectors they stand for
 
 
 def full_vs_block_spectrum(dec: Decomposition, w: np.ndarray) -> SpectrumReport:
     """Certify the block decomposition along direction w.
 
-    Diagonalizes sum_k w_{k-1} V^{t_1}(1k) on (C^d)^{x n} one charge sector at
-    a time (see sector_blocks; ValueError past the memory budget) and compares the
-    sorted result with the blocks' prediction: the spectrum of
+    Diagonalizes sum_k w_{k-1} V^{t_1}(1k) on (C^d)^{x n} one representative
+    charge sector a colour orbit (see sector_blocks; ValueError past the
+    memory budget), repeats each sector's eigenvalues by its orbit size, and
+    compares the sorted result with the blocks' prediction: the spectrum of
     sum_k w_{k-1} B_{k-1} in block alpha, repeated r(alpha) = s_alpha(1^d)
     times, padded with zeros.
     """
@@ -321,10 +311,13 @@ def full_vs_block_spectrum(dec: Decomposition, w: np.ndarray) -> SpectrumReport:
     w = np.asarray(w, dtype=float)
     if w.shape != (n - 1,) or not np.any(w):
         raise ValueError(f"need a nonzero direction of length {n - 1}")
+    # the two sorted spectra and at most four temporaries: 6 words a kept state
+    kept = d * (d ** (n - 1) - (d - 1) ** (n - 1))
+    require_memory(48 * kept + 2**20, f"the spectra of the {kept} states in the charge sectors of "
+                                      f"(C^{d})^{n}")
 
-    full = np.sort(np.concatenate(
-        [np.linalg.eigvalsh(blocks).reshape(-1) for _, blocks in sector_blocks(w, n, d)]
-    ))
+    spectra = [(orbit, np.linalg.eigvalsh(block)) for orbit, _, block in sector_blocks(w, n, d)]
+    full = np.sort(np.concatenate([np.tile(e, orbit) for orbit, e in spectra]))
     r = {b.alpha: b.alpha.unitary_dimension(d) for b in dec.blocks}
     predicted = np.concatenate([
         np.tile(np.linalg.eigvalsh(sum(x * B for x, B in zip(w, b.generators))), r[b.alpha])
@@ -338,4 +331,5 @@ def full_vs_block_spectrum(dec: Decomposition, w: np.ndarray) -> SpectrumReport:
     return SpectrumReport(
         w=w, full=full, predicted=predicted, r=r,
         max_abs_gap=float(np.max(np.abs(full - predicted), initial=0.0)),
+        sectors=(len(spectra), sum(orbit for orbit, _ in spectra)),
     )

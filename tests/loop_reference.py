@@ -5,6 +5,10 @@ from Permutation words multiplied out densely, and each block by eigendecomposin
 Q(alpha) and labeling its eigenvectors with the predicted spectrum d + c(nu/alpha).
 None of this calls the package's Young form, build_Q or build_block.
 
+The oracle's charge sectors are enumerated all at once from index arithmetic
+over every basis state (all_sector_blocks), where the package diagonalizes one
+representative sector a colour orbit.
+
 Also here, because only tests use them: the published generator matrices for
 n = 3 and n = 4 (reference_fixtures), a basis-independent comparison of
 generator families (blocks_equivalent), the clone-indexed generator lookup
@@ -19,7 +23,9 @@ from typing import Sequence
 
 import numpy as np
 
-from cloneregion.algebra import Decomposition, IrrepBlock
+from cloneregion.algebra import (
+    MEMORY_BUDGET, Decomposition, InconsistencyError, IrrepBlock, require_memory,
+)
 from cloneregion.regions import block_support
 from cloneregion.symgroup import Partition, Permutation, branch_up
 
@@ -225,3 +231,83 @@ def axis_width(dec: Decomposition, u: np.ndarray) -> float:
     if abs(np.linalg.norm(u) - 1.0) > 1e-10:
         raise ValueError("direction must be a unit vector")
     return block_support(dec, u) + block_support(dec, -u)
+
+
+def all_sector_blocks(w: np.ndarray, n: int, d: int):
+    """Yield (indices, blocks) of sum_k w_{k-2} V^{t_1}(1k), one charge sector a block.
+
+    X_k = V^{t_1}(1k) sends |i> with i_1 = i_k to sum_a |i with legs 1 and k
+    set to a>, so the sum has (n-1) d^n nonzero entries and no d^n x d^n array
+    is needed. Every X_k conserves q_c = #{legs 2..n equal to c} - [leg 1 = c].
+    A sector with some q_c = -1 (leg 1's colour absent from legs 2..n) lies in
+    the kernel of every X_k and is skipped; on the others q is the multiset of
+    n - 2 colours left on legs 2..n after one copy of leg 1's colour is removed.
+
+    `indices` (m, s) holds the ascending basis indices of m sectors of size s and
+    `blocks` (m, s, s) their dense blocks; sectors come by increasing size, at
+    most MEMORY_BUDGET // 128 block entries at a time unless one sector holds
+    more. Raises ValueError, before allocating them, when the index arrays or
+    the largest batch would pass the memory budget, and InconsistencyError if
+    an entry joins two sectors.
+    """
+    # digits, the (n-1) d^n entries and their sorted copies: 10 n + 16 words a state
+    index_bytes = 8 * d**n * (10 * n + 16) + 2**20
+    require_memory(index_bytes, f"the charge sectors of (C^{d})^{n}")
+    w = np.asarray(w, dtype=float)
+    idx = np.arange(d**n)
+    digits = (idx[:, None] // d ** np.arange(n - 1, -1, -1)) % d
+
+    rest = digits[:, 1:].copy()
+    hit = rest == digits[:, :1]
+    rest[idx, hit.argmax(axis=1)] = d  # out of range, so it sorts last and is dropped
+    rest.sort(axis=1)
+    states = np.flatnonzero(hit.any(axis=1))
+    charge = rest[states, :-1] @ d ** np.arange(n - 3, -1, -1)
+    _, sector, sizes = np.unique(charge, return_inverse=True, return_counts=True)
+    # the largest batch holds max(batch, s_max^2) entries, and no more than all
+    # sectors together; it is counted thrice: bincount, its result, a LAPACK copy
+    batch = MEMORY_BUDGET // 128
+    largest = min(max(batch, int(sizes.max()) ** 2), int(np.sum(sizes**2)))
+    require_memory(index_bytes + 24 * largest, f"charge sectors up to size {sizes.max()}")
+
+    # renumber sectors by size and lay their states out contiguously
+    by_size = np.argsort(sizes, kind="stable")
+    sizes = sizes[by_size]
+    sector = np.argsort(by_size)[sector.reshape(-1)]
+    order = np.argsort(sector, kind="stable")
+    states, sector = states[order], sector[order]
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    sector_of = np.full(d**n, -1)
+    sector_of[states] = sector
+    local_of = np.zeros(d**n, dtype=np.int64)
+    local_of[states] = np.arange(states.size) - starts[sector]
+
+    rows, cols, vals = [], [], []
+    for k in range(2, n + 1):
+        step = d ** (n - 1) + d ** (n - k)  # moves legs 1 and k together by one
+        col = idx[digits[:, 0] == digits[:, k - 1]]
+        base = col - digits[col, 0] * step
+        rows.append((base[:, None] + np.arange(d) * step).reshape(-1))
+        cols.append(np.repeat(col, d))
+        vals.append(np.full(col.size * d, w[k - 2]))
+    rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    entry_sector = sector_of[rows]
+    crossing = entry_sector != sector_of[cols]
+    if np.any(crossing):
+        r, c = rows[crossing][0], cols[crossing][0]
+        raise InconsistencyError(f"entry ({r}, {c}) joins two charge sectors")
+    order = np.argsort(entry_sector, kind="stable")
+    entry_sector, rows, cols, vals = entry_sector[order], rows[order], cols[order], vals[order]
+
+    first = 0
+    while first < sizes.size:
+        s = int(sizes[first])
+        same = first + int(np.searchsorted(sizes[first:], s, side="right"))
+        last = min(same, first + max(1, batch // s**2))
+        lo, hi = np.searchsorted(entry_sector, [first, last])
+        flat = (entry_sector[lo:hi] - first) * s + local_of[rows[lo:hi]]
+        flat = flat * s + local_of[cols[lo:hi]]
+        blocks = np.bincount(flat, weights=vals[lo:hi], minlength=(last - first) * s * s)
+        yield (states[starts[first] : starts[last]].reshape(-1, s),
+               blocks.reshape(-1, s, s))
+        first = last

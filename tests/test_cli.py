@@ -141,6 +141,14 @@ class TestCheck:
         assert "28/28 checks passed" in out
         assert "FAIL" not in out
 
+    def test_one_sector_per_colour_orbit(self, capsys):
+        # the 330 kept sectors of (C^8)^6 fall into the 5 types of partitions of 4
+        code, out, _ = run(capsys, "check", "--n", "6", "--d", "8")
+        assert code == 0
+        [row] = [ln for ln in out.splitlines() if "full vs block spectra" in ln]
+        assert row.startswith("[PASS]") and "; 5 sectors for 330)" in row
+        assert "28/28 checks passed" in out
+
     def test_past_the_old_cap(self, capsys):
         code, out, _ = run(capsys, "check", "--n", "8", "--d", "3")
         assert code == 0
@@ -200,6 +208,12 @@ class TestConvert:
         assert code == 2
         assert "singlet" in err
 
+    def test_both_arguments(self, capsys):
+        code, out, err = run(capsys, "convert", "--singlet", "0.75", "--clone-fidelity", "0.9")
+        assert code == 2
+        assert "not allowed with" in err
+        assert out == ""
+
 
 class TestArgumentValidation:
     def test_n_too_small(self, capsys):
@@ -236,6 +250,12 @@ class TestArgumentValidation:
         # past the budget the oracle rows cannot run, so check refuses the size
         code, out, err = run(capsys, "check", "--n", "6", "--d", "40")
         assert code == 2 and "charge sectors" in err and "memory budget" in err
+        assert out == ""
+
+    def test_check_product_vector_cap(self, capsys):
+        # the oracle's sectors fit at (3, 600); the 600^3 entries of |i..i> do not
+        code, out, err = run(capsys, "check", "--n", "3", "--d", "600")
+        assert code == 2 and "product vectors" in err and "memory budget" in err
         assert out == ""
 
     def test_irreps_past_the_old_cap(self, capsys):

@@ -148,6 +148,7 @@ SITES = [
     ("decompose", (10, 2)), ("decompose", (8, 4)), ("decompose", (9, 4)),
     ("irreps", (6, 4)), ("irreps", (7, 4)), ("irreps", (9, 2)),
     ("sector_blocks", (5, 4)), ("sector_blocks", (7, 4)), ("sector_blocks", (8, 3)),
+    ("sector_blocks", (6, 8)),
     ("haar_isometry", (8, 5)), ("haar_isometry", (4, 5)), ("haar_isometry", (2, 14)),
     ("region", (3, 2, "--samples", 2000)), ("region", (4, 3, "--samples", 2000)),
     ("region", (4, 3, "--samples", 2000, "--format", "csv")),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cloneregion.algebra import InconsistencyError, decompose
-from cloneregion import algebra
+from cloneregion import algebra, oracle
 from cloneregion.regions import support
 from cloneregion.oracle import (
     ChannelSample,
@@ -22,7 +22,9 @@ from cloneregion.oracle import (
     vector_singlet_fractions,
     _ptrace_to,
 )
-from cloneregion.symgroup import Permutation
+from cloneregion.symgroup import Permutation, partitions_of
+
+from loop_reference import all_sector_blocks
 
 
 class TestPermOperator:
@@ -100,6 +102,13 @@ class TestPtTransposition:
                     )
 
 
+def _charges(n, d):
+    """q_c = #{legs 2..n equal to c} - [leg 1 = c] of every basis state, one row a state."""
+    digits = (np.arange(d**n)[:, None] // d ** np.arange(n - 1, -1, -1)) % d
+    return np.stack([np.sum(digits[:, 1:] == c, axis=1) - (digits[:, 0] == c)
+                     for c in range(d)], axis=1)
+
+
 class TestSectorBlocks:
     @pytest.mark.parametrize("n,d", [(3, 2), (4, 3), (5, 2), (5, 4)])
     def test_blocks_restrict_dense_operator(self, n, d):
@@ -108,11 +117,9 @@ class TestSectorBlocks:
         dense = np.zeros((d**n, d**n))
         for k in range(2, n + 1):
             dense += w[k - 2] * pt_transposition(k, n, d).matrix
-        digits = (np.arange(d**n)[:, None] // d ** np.arange(n - 1, -1, -1)) % d
-        charge = np.stack([np.sum(digits[:, 1:] == c, axis=1) - (digits[:, 0] == c)
-                           for c in range(d)], axis=1)
+        charge = _charges(n, d)
         label = np.full(d**n, -1)
-        for indices, blocks in sector_blocks(w, n, d):
+        for indices, blocks in all_sector_blocks(w, n, d):
             for I, B in zip(indices, blocks):
                 np.testing.assert_array_equal(B, dense[np.ix_(I, I)])
                 assert np.all(charge[I] == charge[I[0]])
@@ -121,6 +128,37 @@ class TestSectorBlocks:
         # exactly zero between sectors and on the states no sector holds
         np.testing.assert_array_equal(dense[label[:, None] != label[None, :]], 0.0)
         np.testing.assert_array_equal(dense[label == -1], 0.0)
+        for _, I, B in sector_blocks(w, n, d):
+            np.testing.assert_array_equal(B, dense[np.ix_(I, I)])
+            assert np.all(charge[I] == charge[I[0]])
+
+    @pytest.mark.parametrize("n,d", [(3, 2), (4, 3), (5, 2), (5, 4), (6, 3), (7, 4), (8, 3)])
+    def test_orbit_representatives_reproduce_every_sector(self, n, d):
+        # a colour permutation maps sector q onto sector P(q) with the same spectrum
+        w = np.random.Generator(np.random.PCG64(5 * n + d)).normal(size=n - 1)
+        charge = _charges(n, d)
+
+        def kind(state):  # the multiplicity type of the state's charge
+            return tuple(sorted(charge[state][charge[state] > 0], reverse=True))
+
+        representative, repeated = {}, []
+        for orbit, I, B in sector_blocks(w, n, d):
+            spectrum = np.linalg.eigvalsh(B)
+            representative[kind(I[0])] = spectrum
+            repeated.append(np.tile(spectrum, orbit))
+        reference = []
+        for indices, blocks in all_sector_blocks(w, n, d):
+            for I, spectrum in zip(indices, np.linalg.eigvalsh(blocks)):
+                np.testing.assert_allclose(spectrum, representative[kind(I[0])], rtol=0, atol=1e-10)
+                reference.append(spectrum)
+        np.testing.assert_allclose(np.sort(np.concatenate(repeated)),
+                                   np.sort(np.concatenate(reference)), rtol=0, atol=1e-10)
+
+    def test_orbits_must_cover_the_kept_states(self, monkeypatch):
+        # d (d^{n-1} - (d-1)^{n-1}) states have leg 1's colour on legs 2..n
+        monkeypatch.setattr(oracle, "partitions_of", lambda m: list(partitions_of(m))[1:])
+        with pytest.raises(InconsistencyError, match="cover 648 states, not 700"):
+            next(sector_blocks(np.ones(4), 5, 4))
 
     def test_cap_raises_before_any_eigensolve(self, monkeypatch):
         def no_eigensolve(*args, **kwargs):
@@ -144,7 +182,7 @@ class TestSupportVsFullSpectrum:
         rng = np.random.Generator(np.random.PCG64(11 * n + d))
         for _ in range(20):
             w = rng.normal(size=n - 1)
-            top = max(np.linalg.eigvalsh(blocks).max() for _, blocks in sector_blocks(w, n, d))
+            top = max(np.linalg.eigvalsh(block).max() for _, _, block in sector_blocks(w, n, d))
             assert support(dec, w) == pytest.approx(max(0.0, top) / d, abs=1e-12)
 
 
