@@ -39,6 +39,7 @@ from .oracle import (
     clone_fidelity_from_singlet,
     full_vs_block_spectrum,
     haar_isometry,
+    require_spectrum_memory,
     singlet_from_clone_fidelity,
     vector_singlet_fractions,
 )
@@ -165,6 +166,10 @@ def run_checks(n: int, d: int, seed: int = 0) -> list[tuple[str, bool, str]]:
         results.append((name, bool(ok), detail))
 
     dec = decompose(n, d)
+    # refuse before any row runs: first as the oracle would, then for the
+    # product vectors of the classical-clone row
+    require_spectrum_memory(n, d)
+    require_memory(16 * d**n + 2**20, f"the product vectors of (C^{d})^{n}")
     for block in dec.blocks:
         tag = f"alpha={block.alpha.parts}"
         worst_rel = worst_sym = worst_tr = 0.0
@@ -201,7 +206,6 @@ def run_checks(n: int, d: int, seed: int = 0) -> list[tuple[str, bool, str]]:
 
     # (1/d) sum_i (|i><i|)^{x n}: the mean over the product vectors |i..i>,
     # the basis vectors at multiples of step = (d^n - 1)/(d - 1)
-    require_memory(16 * d**n + 2**20, f"the product vectors of (C^{d})^{n}")
     step = (d**n - 1) // (d - 1)
     F = np.mean(
         [vector_singlet_fractions(np.eye(1, d**n, i * step), n, d) for i in range(d)], axis=0

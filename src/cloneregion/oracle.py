@@ -297,6 +297,14 @@ class SpectrumReport:
     sectors: tuple[int, int]  # representative charge sectors diagonalized, sectors they stand for
 
 
+def require_spectrum_memory(n: int, d: int) -> None:
+    """ValueError if the orbit-repeated spectra of full_vs_block_spectrum pass the memory budget."""
+    # the two sorted spectra and at most four temporaries: 6 words a kept state
+    kept = d * (d ** (n - 1) - (d - 1) ** (n - 1))
+    require_memory(48 * kept + 2**20, f"the spectra of the {kept} states in the charge sectors of "
+                                      f"(C^{d})^{n}")
+
+
 def full_vs_block_spectrum(dec: Decomposition, w: np.ndarray) -> SpectrumReport:
     """Certify the block decomposition along direction w.
 
@@ -311,10 +319,7 @@ def full_vs_block_spectrum(dec: Decomposition, w: np.ndarray) -> SpectrumReport:
     w = np.asarray(w, dtype=float)
     if w.shape != (n - 1,) or not np.any(w):
         raise ValueError(f"need a nonzero direction of length {n - 1}")
-    # the two sorted spectra and at most four temporaries: 6 words a kept state
-    kept = d * (d ** (n - 1) - (d - 1) ** (n - 1))
-    require_memory(48 * kept + 2**20, f"the spectra of the {kept} states in the charge sectors of "
-                                      f"(C^{d})^{n}")
+    require_spectrum_memory(n, d)
 
     spectra = [(orbit, np.linalg.eigvalsh(block)) for orbit, _, block in sector_blocks(w, n, d)]
     full = np.sort(np.concatenate([np.tile(e, orbit) for orbit, e in spectra]))

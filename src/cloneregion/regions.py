@@ -16,7 +16,8 @@ Only three functions import SciPy, inside their bodies: _solve_master
 (scipy.optimize.linprog, for membership, classify and constrained_max),
 build_hull (scipy.spatial.ConvexHull) and _sphere_grid past dimension 3
 (scipy.stats.qmc and scipy.special.ndtri, for the sampled points of `region`
-only).  The support function, extreme points and symmetric_max are NumPy only.
+only).  The support function and extreme points are NumPy only, and
+symmetric_max reads the block labels d + c(nu/alpha), with no eigensolve.
 """
 
 from __future__ import annotations
@@ -186,9 +187,18 @@ def _seed_directions(N: int) -> np.ndarray:
 
 
 def symmetric_max(dec: Decomposition) -> float:
-    """Largest t with (t,...,t) admissible: support along (1,..,1), over N."""
-    u = np.ones(dec.clone_count)
-    return support(dec, u) / dec.clone_count
+    """Largest t with (t,...,t) admissible: h(1,...,1)/N, read from the block labels.
+
+    This is exact without an eigensolve.  In every block sum_a B_a =
+    diag(d + c(nu/alpha)) in the Young basis: the nonzero spectrum of
+    sum_a B_a = Y~^T Y~ (Y~ the stacked factors) is that of Y~ Y~^T = Q(alpha),
+    whose eigenvalues are the labels d + c(nu/alpha), and build_block refuses
+    a factor that misses Y~ Y~^T = Q(alpha) by more than 1e-8 d.  So
+    h(1,...,1) = max(d + c)/d over the blocks.  The origin never wins: a kept
+    nu has height <= d, so c >= 1 - d and d + c >= 1.  The maximum is
+    d + n - 2, at alpha = (n-2) and nu = (n-1): Werner's (N + d - 1)/(N d).
+    """
+    return max(max(b.eigenvalues) for b in dec.blocks) / (dec.d * dec.clone_count)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from cloneregion import __version__
+from cloneregion import __version__, cli
 from cloneregion.cli import SCHEMA_VERSION, build_parser, main
 
 
@@ -257,6 +257,18 @@ class TestArgumentValidation:
         code, out, err = run(capsys, "check", "--n", "3", "--d", "600")
         assert code == 2 and "product vectors" in err and "memory budget" in err
         assert out == ""
+
+    def test_check_refuses_before_any_spectrum(self, capsys, monkeypatch, no_eigensolve):
+        # the oracle fits at (4, 120), the 120^4 entries of |i..i> do not
+        def refuse(*args, **kwargs):
+            raise AssertionError("a spectrum ran before the product-vector refusal")
+
+        monkeypatch.setattr(cli, "full_vs_block_spectrum", refuse)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "check", "--n", "4", "--d", "120")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert "the product vectors of (C^120)^4" in err and "memory budget" in err
 
     def test_irreps_past_the_old_cap(self, capsys):
         code, out, _ = run(capsys, "irreps", "--n", "9", "--d", "2")

@@ -5,7 +5,7 @@ import pytest
 
 from cloneregion.algebra import InconsistencyError, decompose
 from cloneregion import algebra, oracle
-from cloneregion.regions import support
+from cloneregion.regions import support, symmetric_max
 from cloneregion.oracle import (
     ChannelSample,
     choi_state,
@@ -184,6 +184,13 @@ class TestSupportVsFullSpectrum:
             w = rng.normal(size=n - 1)
             top = max(np.linalg.eigvalsh(block).max() for _, _, block in sector_blocks(w, n, d))
             assert support(dec, w) == pytest.approx(max(0.0, top) / d, abs=1e-12)
+
+    @pytest.mark.parametrize("n,d", [(3, 2), (3, 3), (3, 4), (3, 5), (4, 2), (4, 3), (4, 4),
+                                     (5, 2), (5, 3), (5, 4), (6, 3)])
+    def test_symmetric_max_is_full_top_eigenvalue(self, n, d):
+        dec = decompose(n, d)
+        top = max(full_vs_block_spectrum(dec, np.ones(n - 1)).full)
+        assert symmetric_max(dec) == pytest.approx(top / (d * (n - 1)), abs=1e-10)
 
 
 class TestHaarIsometry:

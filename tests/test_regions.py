@@ -116,14 +116,63 @@ class TestSupport:
             support(dec32, np.zeros(2))
 
 
+# (d, n), so the ids read d-n
+SYMMETRIC_GRID = [(d, 3) for d in (2, 3, 4, 5)] + [(d, 4) for d in (2, 3, 4, 5)] + [
+    (d, 5) for d in (2, 3, 4)] + [(3, 6), (5, 10)]
+
+
 class TestSymmetricMax:
-    @pytest.mark.parametrize("n", [3, 4])
-    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("d,n", SYMMETRIC_GRID)
     def test_werner(self, n, d):
         N = n - 1
         assert symmetric_max(decompose(n, d)) == pytest.approx(
             (N + d - 1) / (N * d), abs=1e-9
         )
+
+    @pytest.mark.parametrize("d,n", SYMMETRIC_GRID)
+    def test_labels_equal_the_eigensolver(self, n, d):
+        # the eigensolver route: support along (1, ..., 1), over N
+        dec = decompose(n, d)
+        N = n - 1
+        assert symmetric_max(dec) == pytest.approx(support(dec, np.ones(N)) / N, rel=1e-12, abs=0)
+        # one label wins: d + n - 2, at alpha = (n-2) and nu = (n-1)
+        labels = sorted((lam, b.alpha.parts, nu.parts)
+                        for b in dec.blocks for lam, nu in zip(b.eigenvalues, b.labels))
+        assert labels[-1] == (d + n - 2, (n - 2,), (n - 1,))
+        assert labels[-2][0] < labels[-1][0]
+
+    def test_runs_no_eigensolve(self, monkeypatch):
+        dec = decompose(5, 3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("symmetric_max reads the labels")
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        for name in ("support", "block_support", "extreme_points"):
+            monkeypatch.setattr(regions, name, refuse)
+        assert symmetric_max(dec) == pytest.approx(6 / 12, abs=1e-15)
+
+
+class TestPositiveOrthantDominance:
+    """Block alpha = (n-2) attains block_support along every sampled w > 0."""
+
+    @pytest.mark.parametrize("n,d", [(4, 2), (4, 3), (5, 2), (5, 3), (6, 3)])
+    def test_symmetric_block_wins(self, n, d):
+        dec = decompose(n, d)
+        [top] = [i for i, b in enumerate(dec.blocks) if b.alpha.parts == (n - 2,)]
+        W = 1.0 - np.random.Generator(np.random.PCG64(100 * n + d)).random((200, n - 1))
+        # lambda_max / d of every block along every w
+        tops = np.array([
+            np.linalg.eigvalsh(np.einsum("ra,aij->rij", W, np.array(b.generators)))[:, -1]
+            for b in dec.blocks
+        ]) / d
+        runner_up = np.max(np.delete(tops, top, axis=0), axis=0, initial=-np.inf)
+        margin = float(np.min(tops[top] - runner_up))
+        worst = max(abs(block_support(dec, w) - h) for w, h in zip(W, tops[top]))
+        print(f"({n},{d}): smallest margin to the runner-up block {margin:.2e}")
+        assert worst <= 1e-12 * d, (f"alpha = ({n - 2}) misses block_support by {worst:.2e}; "
+                                    f"smallest margin to the runner-up block {margin:.2e}")
 
 
 class TestOneToTwoCloners:
