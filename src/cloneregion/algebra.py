@@ -139,8 +139,9 @@ class IrrepBlock:
     labels are the kept branchings nu of alpha in branch_up order, with the
     exact eigenvalues d + c(nu/alpha) of Q(alpha), each of multiplicity
     dim psi^nu; gram_residual is max |Y Y^T - Q(alpha)| / d for the closed-form
-    factor Y.  generators[a-1] is the image B_a of the partially transposed
-    transposition pairing clone a+1 with the reference.
+    factor Y.  generators, one C-contiguous (n-1, dim, dim) array, holds in
+    generators[a-1] the image B_a of the partially transposed transposition
+    pairing clone a+1 with the reference; combine and fidelities read it.
     """
 
     alpha: Partition
@@ -149,13 +150,13 @@ class IrrepBlock:
     eigenvalues: tuple[float, ...]
     labels: tuple[Partition, ...]
     gram_residual: float
-    generators: tuple[np.ndarray, ...]
+    generators: np.ndarray
     dropped: Optional[Partition]
 
     @property
     def dim(self) -> int:
-        """Block dimension = rank Q(alpha)."""
-        return sum(nu.dimension for nu in self.labels)
+        """Block dimension = rank Q(alpha) = sum of dim psi^nu over the kept nu."""
+        return self.generators.shape[1]
 
     @property
     def dim_phi(self) -> int:
@@ -168,6 +169,14 @@ class IrrepBlock:
     def eigenvalues_full(self) -> np.ndarray:
         """Kept eigenvalues with multiplicity, descending."""
         return np.repeat(self.eigenvalues, [nu.dimension for nu in self.labels])
+
+    def combine(self, W: np.ndarray) -> np.ndarray:
+        """sum_a W[..., a] B_a: one dim x dim matrix for each row of W."""
+        return np.tensordot(W, self.generators, axes=(-1, 0))
+
+    def fidelities(self, states: np.ndarray) -> np.ndarray:
+        """psi^T B_a psi / d for a = 1..n-1, along the last axis, for each row psi of states."""
+        return np.einsum("...i,aij,...j->...a", states, self.generators, states) / self.d
 
 
 def build_block(alpha: Partition, n: int, d: int) -> IrrepBlock:
@@ -201,7 +210,9 @@ def build_block(alpha: Partition, n: int, d: int) -> IrrepBlock:
             Y = phi.left(a, Y)
         factors.append(Y)
     factors.reverse()  # factors[a-1] = Y_a
-    generators = tuple(Ya.T @ Ya for Ya in factors)
+    generators = np.empty((m, spans[-1], spans[-1]))
+    for Ya, B in zip(factors, generators):
+        np.matmul(Ya.T, Ya, out=B)
 
     stacked = np.vstack(factors[:-1] + [phi.left(1, factors[-1]) if n >= 4 else factors[-1]])
     gram = stacked @ stacked.T
@@ -266,7 +277,7 @@ def block_to_dict(block: IrrepBlock) -> dict:
         "multiplicities": [nu.dimension for nu in block.labels],
         "labels": [list(nu.parts) for nu in block.labels],
         "dim": block.dim,
-        "generators": [g.tolist() for g in block.generators],
+        "generators": block.generators.tolist(),
         "dropped": list(block.dropped.parts) if block.dropped else None,
     }
 
@@ -274,7 +285,7 @@ def block_to_dict(block: IrrepBlock) -> dict:
 def decomposition_to_dict(dec: Decomposition) -> dict:
     # the generators and their lists of Python floats peak at 5.2-5.8x the
     # generators' bytes; the JSON text is streamed, never held whole
-    gen_bytes = sum(g.nbytes for b in dec.blocks for g in b.generators)
+    gen_bytes = sum(b.generators.nbytes for b in dec.blocks)
     require_memory(6 * gen_bytes + 2**20, f"the JSON text of decompose({dec.n}, {dec.d})")
     return {
         "n": dec.n,

@@ -46,7 +46,7 @@ from .oracle import (
 from .regions import (
     MembershipOracle,
     build_hull,
-    extreme_point,
+    extreme_points,
     sample_region,
     support,
     symmetric_max,
@@ -180,7 +180,8 @@ def run_checks(n: int, d: int, seed: int = 0) -> list[tuple[str, bool, str]]:
         add(f"{tag}: B^2 = d B", worst_rel < 1e-10, f"max dev {worst_rel:.2e}")
         add(f"{tag}: B symmetric", worst_sym < 1e-10, f"max dev {worst_sym:.2e}")
         add(f"{tag}: tr B = d dim_phi", worst_tr < 1e-10, f"max dev {worst_tr:.2e}")
-        sdev = float(np.max(np.abs(sum(block.generators) - np.diag(block.eigenvalues_full()))))
+        total = block.combine(np.ones(n - 1))
+        sdev = float(np.max(np.abs(total - np.diag(block.eigenvalues_full()))))
         add(f"{tag}: sum_a B_a = diag(d + c(nu/alpha))", sdev <= 1e-10 * d, f"max dev {sdev:.2e}")
         gdev = block.gram_residual * d
         add(f"{tag}: Q(alpha) = Y Y^T", gdev <= 1e-10 * d, f"max dev {gdev:.2e}")
@@ -214,10 +215,9 @@ def run_checks(n: int, d: int, seed: int = 0) -> list[tuple[str, bool, str]]:
     add("classical-clone point equals (1/d, ..., 1/d)", dev < 1e-12, f"max dev {dev:.2e}")
 
     if n == 3:  # the optimal asymmetric 1->2 cloners (Cerf, J. Mod. Opt. 47, 187 (2000))
-        dev = 0.0
-        for t in np.linspace(0.0, np.pi / 2, 52)[1:-1]:
-            (F1, F2), _ = extreme_point(dec, np.array([np.cos(t), np.sin(t)]))
-            dev = max(dev, abs(F1 + F2 - (2 / d) * np.sqrt(F1 * F2) - (1 - 1 / d**2)))
+        t = np.linspace(0.0, np.pi / 2, 52)[1:-1]
+        F1, F2 = extreme_points(dec, np.column_stack([np.cos(t), np.sin(t)]))[0].T
+        dev = float(np.max(np.abs(F1 + F2 - (2 / d) * np.sqrt(F1 * F2) - (1 - 1 / d**2))))
         add("1->2 extreme points on F1 + F2 - (2/d) sqrt(F1 F2) = 1 - 1/d^2", dev <= 1e-12,
             f"max dev {dev:.2e} over 50 directions")
 

@@ -324,10 +324,8 @@ def full_vs_block_spectrum(dec: Decomposition, w: np.ndarray) -> SpectrumReport:
     spectra = [(orbit, np.linalg.eigvalsh(block)) for orbit, _, block in sector_blocks(w, n, d)]
     full = np.sort(np.concatenate([np.tile(e, orbit) for orbit, e in spectra]))
     r = {b.alpha: b.alpha.unitary_dimension(d) for b in dec.blocks}
-    predicted = np.concatenate([
-        np.tile(np.linalg.eigvalsh(sum(x * B for x, B in zip(w, b.generators))), r[b.alpha])
-        for b in dec.blocks
-    ])
+    predicted = np.concatenate([np.tile(np.linalg.eigvalsh(b.combine(w)), r[b.alpha])
+                                for b in dec.blocks])
     if predicted.size > full.size:
         raise InconsistencyError(
             f"blocks hold {predicted.size} states, the kept sectors only {full.size}"

@@ -5,12 +5,12 @@ hull of the per-block regions { (1/d) <psi| B_{k-1} |psi> : |psi| = 1, real }
 together with the origin, the point of the semi-trivial ideal N: every
 fidelity observable V^{t_1}(1k) acts as zero on N.  The support function is
 then (1/d) lambda_max(sum_k w_k V^{t_1}(1k)) on the full space, its zero
-eigenvalues included, as the brute-force oracle confirms.  This module
-evaluates h(w) exactly via extremal eigenvalues, finds the extreme points that
-the top eigenvectors give (batched over directions), builds certified 2D/3D
-hulls from them, and answers membership and constrained-maximization queries
-by column generation over the same extreme points.  It also samples the block
-regions deterministically, as plotting data for the `region` command.
+eigenvalues included, as the brute-force oracle confirms.  Per block,
+IrrepBlock.fidelities maps states to points and IrrepBlock.combine forms
+sum_k w_k B_k; its top eigenvalue (_top, batched over directions) gives h(w)
+and its top eigenvector an extreme point.  From these the module builds
+certified 2D/3D hulls, answers membership and constrained-maximization
+queries by column generation, and samples block regions for `region`.
 
 Only three functions import SciPy, inside their bodies: _solve_master
 (scipy.optimize.linprog, for membership, classify and constrained_max),
@@ -53,7 +53,7 @@ def fidelity_vector(block: IrrepBlock, psi: np.ndarray) -> np.ndarray:
         raise ValueError(f"state length {psi.shape} != block dimension {block.dim}")
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
         raise ValueError("state must be a unit vector")
-    return np.array([psi @ B @ psi for B in block.generators]) / block.d
+    return block.fidelities(psi)
 
 
 def _sphere_grid(dim: int, count: int) -> np.ndarray:
@@ -107,10 +107,7 @@ def sample_block_region(block: IrrepBlock, count: int) -> RegionSample:
     for dimension <= 3, a low-discrepancy sequence otherwise.
     """
     states = _sphere_grid(block.dim, count)
-    points = np.empty((states.shape[0], block.clone_count))
-    for a, B in enumerate(block.generators):
-        points[:, a] = np.einsum("si,ij,sj->s", states, B, states) / block.d
-    return RegionSample(source=str(block.alpha.parts), points=points, states=states)
+    return RegionSample(str(block.alpha.parts), block.fidelities(states), states)
 
 
 def sample_region(dec: Decomposition, count: int) -> list[RegionSample]:
@@ -124,11 +121,7 @@ def sample_region(dec: Decomposition, count: int) -> list[RegionSample]:
 
 def block_support(dec: Decomposition, w: np.ndarray) -> float:
     """max over blocks of (1/d) lambda_max(sum_k w_k B_k); the origin excluded."""
-    w = np.asarray(w, dtype=float)
-    return max(
-        float(np.linalg.eigvalsh(sum(w[a] * B for a, B in enumerate(block.generators)))[-1])
-        for block in dec.blocks
-    ) / dec.d
+    return max(float(_top(block, np.reshape(w, (1, -1)))[0]) for block in dec.blocks) / dec.d
 
 
 def support(dec: Decomposition, w: np.ndarray) -> float:
@@ -145,11 +138,13 @@ def support(dec: Decomposition, w: np.ndarray) -> float:
 
 def _stacked(block: IrrepBlock, W: np.ndarray, solve) -> np.ndarray:
     """solve(M) for M = sum_k W[r, k] B_k stacked over the rows r of W, _BATCH entries a call."""
-    step = max(1, _BATCH // block.generators[0].size)
-    out = []
-    for rows in (W[i : i + step] for i in range(0, len(W), step)):
-        out.append(solve(sum(rows[:, a, None, None] * B for a, B in enumerate(block.generators))))
-    return np.concatenate(out)
+    step = max(1, _BATCH // block.dim**2)
+    return np.concatenate([solve(block.combine(W[i : i + step])) for i in range(0, len(W), step)])
+
+
+def _top(block: IrrepBlock, W: np.ndarray) -> np.ndarray:
+    """lambda_max(sum_k W[r, k] B_k) for each row r of W."""
+    return _stacked(block, W, lambda M: np.linalg.eigvalsh(M)[:, -1])
 
 
 def extreme_points(dec: Decomposition, W: np.ndarray):
@@ -162,7 +157,7 @@ def extreme_points(dec: Decomposition, W: np.ndarray):
     eigvalsh in every block, eigenvectors from eigh in the winning block only.
     """
     W = np.asarray(W, dtype=float).reshape(-1, dec.clone_count)
-    tops = np.array([_stacked(b, W, lambda M: np.linalg.eigvalsh(M)[:, -1]) for b in dec.blocks])
+    tops = np.array([_top(b, W) for b in dec.blocks])
     source = np.argmax(tops, axis=0)
     h = tops[source, np.arange(len(W))]
     source[h < 0] = -1
@@ -171,7 +166,7 @@ def extreme_points(dec: Decomposition, W: np.ndarray):
         rows = source == i
         if rows.any():
             psi = _stacked(block, W[rows], lambda M: np.linalg.eigh(M)[1][:, :, -1])
-            X[rows] = np.column_stack([np.sum(psi @ B * psi, axis=1) for B in block.generators]) / dec.d
+            X[rows] = block.fidelities(psi)
     return X, np.maximum(h, 0.0) / dec.d, source
 
 
@@ -330,8 +325,6 @@ class MembershipOracle:
                 w = direction(trial)
                 x, h = extreme_point(self.dec, w)
                 self.points = np.vstack([self.points, x])
-                if h > w @ self.center:  # false only for w = 0
-                    self.cuts = np.vstack([self.cuts, w / (h - w @ self.center)])
                 value, smoothed = bound(trial, h)
                 if value > lower:
                     lower, center = value, smoothed
@@ -361,6 +354,8 @@ class MembershipOracle:
 
         def bound(y, h):
             cut = y / (h - y @ self.center)
+            if h > y @ self.center:  # false only for y = 0
+                self.cuts = np.vstack([self.cuts, cut])
             return float(cut @ u), cut
 
         def settle(lower, upper, cut):

@@ -9,6 +9,11 @@ The oracle's charge sectors are enumerated all at once from index arithmetic
 over every basis state (all_sector_blocks), where the package diagonalizes one
 representative sector a colour orbit.
 
+The block maps are written one generator at a time: sum_k w_k B_k
+(loop_combine), the fidelity vector psi^T B_k psi / d (loop_fidelities) and
+the block support (loop_block_support), where the package contracts the
+(n-1, dim, dim) generator array in IrrepBlock.combine and IrrepBlock.fidelities.
+
 Also here, because only tests use them: the published generator matrices for
 n = 3 and n = 4 (reference_fixtures), a basis-independent comparison of
 generator families (blocks_equivalent), the clone-indexed generator lookup
@@ -223,6 +228,24 @@ def clone_observable(block: IrrepBlock, k: int) -> np.ndarray:
     if not 2 <= k <= block.n:
         raise ValueError(f"clone index k must be in 2..{block.n}, got {k}")
     return block.generators[k - 2]
+
+
+def loop_combine(block: IrrepBlock, w: np.ndarray) -> np.ndarray:
+    """sum_k w_k B_k, accumulated one generator at a time."""
+    M = np.zeros((block.dim, block.dim))
+    for x, B in zip(w, block.generators):
+        M += x * B
+    return M
+
+
+def loop_fidelities(block: IrrepBlock, psi: np.ndarray) -> np.ndarray:
+    """(psi^T B_1 psi, ..., psi^T B_{n-1} psi) / d, one generator at a time."""
+    return np.array([psi @ B @ psi for B in block.generators]) / block.d
+
+
+def loop_block_support(dec: Decomposition, w: np.ndarray) -> float:
+    """max over blocks of lambda_max(loop_combine(block, w)) / d."""
+    return max(np.linalg.eigvalsh(loop_combine(b, w))[-1] for b in dec.blocks) / dec.d
 
 
 def axis_width(dec: Decomposition, u: np.ndarray) -> float:

@@ -235,11 +235,24 @@ class TestClosedForm:
                 np.testing.assert_allclose(psi @ B[a] @ psi, B[a - 1], rtol=0, atol=1e-13 * d)
 
 
+class TestGeneratorArray:
+    @pytest.mark.parametrize("n,d", [(3, 2), (4, 3), (5, 3), (6, 3)])
+    def test_one_contiguous_float_array(self, n, d):
+        for block in decompose(n, d).blocks:
+            G = block.generators
+            assert type(G) is np.ndarray
+            assert G.shape == (n - 1, block.dim, block.dim)
+            assert G.dtype == np.float64
+            assert G.flags.c_contiguous
+
+
 class TestCloneObservable:
     def test_mapping(self):
         block = build_block(P(2), 4, 3)
         for k in (2, 3, 4):
-            assert clone_observable(block, k) is block.generators[k - 2]
+            B = clone_observable(block, k)
+            assert np.shares_memory(B, block.generators[k - 2])
+            assert np.array_equal(B, block.generators[k - 2])
         with pytest.raises(ValueError):
             clone_observable(block, 5)
         with pytest.raises(ValueError):

@@ -371,9 +371,9 @@ class TestFullVsBlockSpectrum:
         w = np.ones(n - 1)
         assert full_vs_block_spectrum(dec, w).max_abs_gap < 1e-8
         first = dec.blocks[0]
-        scaled = dataclasses.replace(
-            first, generators=(first.generators[0] * (1 + 1e-6),) + tuple(first.generators[1:])
-        )
+        generators = first.generators.copy()
+        generators[0] *= 1 + 1e-6
+        scaled = dataclasses.replace(first, generators=generators)
         broken = {
             "dropped": dec.blocks[1:],
             "duplicated": dec.blocks + dec.blocks[:1],

@@ -20,7 +20,7 @@ from cloneregion.regions import (
     symmetric_max,
 )
 
-from loop_reference import axis_width
+from loop_reference import axis_width, loop_block_support, loop_combine, loop_fidelities
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +58,33 @@ class TestFidelityVector:
             fidelity_vector(block, np.array([1.0, 1.0]))  # not unit
         with pytest.raises(ValueError):
             fidelity_vector(block, np.array([1.0, 0.0, 0.0]))
+
+
+class TestBlockMapsVsLoops:
+    """combine, fidelities and block_support against one-generator-at-a-time loops."""
+
+    @pytest.mark.parametrize("n,d", [(3, 2), (4, 3), (5, 3), (6, 3)])
+    def test_match_loop_references(self, n, d):
+        dec = decompose(n, d)
+        rng = np.random.Generator(np.random.PCG64(10 * n + d))
+        W = rng.normal(size=(6, n - 1))
+        for block in dec.blocks:
+            M = block.combine(W)
+            assert M.shape == (len(W), block.dim, block.dim)
+            for w, Mw in zip(W, M):
+                np.testing.assert_allclose(Mw, loop_combine(block, w), rtol=0, atol=1e-13 * d)
+                np.testing.assert_allclose(block.combine(w), loop_combine(block, w),
+                                           rtol=0, atol=1e-13 * d)
+            states = rng.normal(size=(5, block.dim))
+            states /= np.linalg.norm(states, axis=1, keepdims=True)
+            F = block.fidelities(states)
+            assert F.shape == (len(states), n - 1)
+            for psi, f in zip(states, F):
+                np.testing.assert_allclose(f, loop_fidelities(block, psi), rtol=0, atol=1e-13 * d)
+                np.testing.assert_allclose(block.fidelities(psi), loop_fidelities(block, psi),
+                                           rtol=0, atol=1e-13 * d)
+        for w in W:
+            assert abs(block_support(dec, w) - loop_block_support(dec, w)) <= 1e-13 * d
 
 
 class TestSampleBlockRegion:
