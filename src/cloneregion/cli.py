@@ -286,7 +286,8 @@ def cmd_convert(args) -> int:
 # flags beyond --n --d --out, added only to the commands that use them
 _OWN_FLAGS = {
     "tol": dict(type=float, default=1e-9, help="membership tolerance"),
-    "samples": dict(type=int, default=10**4, help="sample count"),
+    "samples": dict(type=int, default=10**4,
+                    help="sample count k (region: a 3-dim block gets na*(k//na), na = round(sqrt(k/2)))"),
     "seed": dict(type=int, default=0, help="base RNG seed"),
     "format": dict(choices=("json", "csv"), default="json", help="output format"),
 }

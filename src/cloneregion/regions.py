@@ -10,7 +10,8 @@ IrrepBlock.fidelities maps states to points and IrrepBlock.combine forms
 sum_k w_k B_k; its top eigenvalue (_top, batched over directions) gives h(w)
 and its top eigenvector an extreme point.  From these the module builds
 certified 2D/3D hulls, answers membership and constrained-maximization
-queries by column generation, and samples block regions for `region`.
+queries by column generation, each solve pricing its own columns from the
+extreme points along 2N + 2 seed directions, and samples block regions for `region`.
 
 Only three functions import SciPy, inside their bodies: _solve_master
 (scipy.optimize.linprog, for membership, classify and constrained_max),
@@ -57,11 +58,15 @@ def fidelity_vector(block: IrrepBlock, psi: np.ndarray) -> np.ndarray:
 
 
 def _sphere_grid(dim: int, count: int) -> np.ndarray:
-    """Deterministic points on the unit sphere S^{dim-1}; grid for dim <= 3."""
+    """Deterministic points on the unit sphere S^{dim-1}: a grid for dim 2 and 3.
+
+    Dim 3 gives na * max(1, count // na) points, na = max(2, round(sqrt(count / 2))):
+    3570 for count 3600, 9940 for 10^4; other dims give count.  No block has dim 1
+    at d >= 2: the nu adding a box to row 1 of alpha is kept, of dim >= 2 unless
+    alpha is one row, and then the nu adding a box to row 2 is kept too.
+    """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if dim == 1:
-        return np.array([[1.0], [-1.0]])[: max(1, min(2, count))]
     if dim == 2:
         theta = 2.0 * np.pi * np.arange(count) / count
         return np.column_stack([np.cos(theta), np.sin(theta)])
@@ -286,13 +291,41 @@ class Certificate:
     weights: Optional[np.ndarray] = None
 
 
+def _generate(dec, points, master, direction, bound, settle, lower=-np.inf, center=None):
+    """Wentges-smoothed column generation for a minimization over R from the columns `points`.
+
+    master(columns) returns the master LP value and its duals y, priced along
+    direction(y); each priced point joins this call's own columns.  bound(y, h)
+    returns the lower bound that y certifies given h = h(direction(y)), and the
+    duals to smooth towards.  settle(lower, upper, center) returns the answer or None.
+    """
+    for _ in range(MAX_ROUNDS):
+        upper, y = master(points)
+        if (answer := settle(lower, upper, center)) is not None:
+            return answer
+        w_lp = direction(y)
+        reach = np.max(points @ w_lp)
+        # price at the smoothed duals, and at the LP duals only if that
+        # column cuts off nothing; without the fallback boundary points stall
+        for trial in [y] if center is None else [(center + y) / 2, y]:
+            w = direction(trial)
+            x, h = extreme_point(dec, w)
+            points = np.vstack([points, x])
+            value, smoothed = bound(trial, h)
+            if value > lower:
+                lower, center = value, smoothed
+            if w_lp @ x > reach + 1e-12:
+                break
+    raise InconsistencyError(f"column generation did not settle in {MAX_ROUNDS} rounds")
+
+
 class MembershipOracle:
     """Exact membership queries on one region R by column generation.
 
     classify brackets the gauge g(p) = min{t >= 0 : p - c in t (R - c)} about
-    the mean c of the initial extreme points, and tol applies to the gauge:
-    "boundary" means |g(p) - 1| <= tol.  Every extreme point, exact cut and
-    optimal LP basis is kept, so a query that they already decide needs no LP.
+    the mean c of the seed extreme points `points`: "boundary" means |g(p) - 1| <= tol.
+    Each query prices its own columns from the seeds; only bases, the optimal LP
+    bases of earlier queries, grows, and a query that one of them decides needs no LP.
     """
 
     def __init__(self, dec: Decomposition):
@@ -300,37 +333,9 @@ class MembershipOracle:
         N = dec.clone_count
         seeds = _seed_directions(N)
         self.points, h, _ = extreme_points(dec, seeds)
-        self.seed_count = len(seeds)
         self.center = self.points.mean(axis=0)
         self.cuts = seeds / (h - seeds @ self.center)[:, None]
         self.bases = np.empty((0, N, N))  # columns x_j - c of optimal gauge-LP bases
-
-    def _generate(self, master, direction, bound, settle, lower=-np.inf, center=None):
-        """Wentges-smoothed column generation for a minimization over R.
-
-        master() returns the master LP value over self.points and its duals y,
-        priced along direction(y).  bound(y, h) returns the lower bound that y
-        certifies given h = h(direction(y)), and the duals to smooth towards.
-        settle(lower, upper, center) returns the answer or None.
-        """
-        for _ in range(MAX_ROUNDS):
-            upper, y = master()
-            if (answer := settle(lower, upper, center)) is not None:
-                return answer
-            w_lp = direction(y)
-            reach = np.max(self.points @ w_lp)
-            # price at the smoothed duals, and at the LP duals only if that
-            # column cuts off nothing; without the fallback boundary points stall
-            for trial in [y] if center is None else [(center + y) / 2, y]:
-                w = direction(trial)
-                x, h = extreme_point(self.dec, w)
-                self.points = np.vstack([self.points, x])
-                value, smoothed = bound(trial, h)
-                if value > lower:
-                    lower, center = value, smoothed
-                if w_lp @ x > reach + 1e-12:
-                    break
-        raise InconsistencyError(f"column generation did not settle in {MAX_ROUNDS} rounds")
 
     def certify(self, p: np.ndarray, tol: float = 1e-9) -> Certificate:
         """Verdict on p: exact cuts bound g(p) from below, LP bases from above."""
@@ -344,18 +349,16 @@ class MembershipOracle:
             k = int(np.argmin(totals))
             best = [totals[k], self.bases[k], stored[k]]
 
-        def master():
-            res = _solve_master(np.ones(len(self.points)), (self.points - self.center).T, u)
+        def master(points):
+            res = _solve_master(np.ones(len(points)), (points - self.center).T, u)
             used = res.x > 0
-            best[1:] = (self.points[used] - self.center).T, res.x[used]
+            best[1:] = (points[used] - self.center).T, res.x[used]
             if used.sum() == len(u):
                 self.bases = np.concatenate([self.bases, [best[1]]])
             return res.fun, res.eqlin.marginals
 
         def bound(y, h):
             cut = y / (h - y @ self.center)
-            if h > y @ self.center:  # false only for y = 0
-                self.cuts = np.vstack([self.cuts, cut])
             return float(cut @ u), cut
 
         def settle(lower, upper, cut):
@@ -365,13 +368,13 @@ class MembershipOracle:
                 return None
             # p = (1 - sum lam) c + sum lam_j x_j, and c is the mean of the seed points
             cols, lam = best[1:]
-            points = np.vstack([cols.T + self.center, self.points[: self.seed_count]])
-            weights = np.r_[lam, np.full(self.seed_count, (1.0 - lam.sum()) / self.seed_count)]
+            points = np.vstack([cols.T + self.center, self.points])
+            weights = np.r_[lam, np.full(len(self.points), (1.0 - lam.sum()) / len(self.points))]
             verdict = "inside" if upper < 1 - tol else "boundary"
             return Certificate(verdict, (lower, upper), cut, points, weights)
 
-        return settle(lower, best[0], cut) or self._generate(
-            master, lambda y: y, bound, settle, lower, cut
+        return settle(lower, best[0], cut) or _generate(
+            self.dec, self.points, master, lambda y: y, bound, settle, lower, cut
         )
 
     def classify(self, p: np.ndarray, tol: float = 1e-9) -> str:
@@ -400,7 +403,6 @@ def constrained_max(
     h(objective + A^T pi) - pi.b, and the slack that the master LP's slack
     columns leave on the constraints: more slack means they miss the region.
     """
-    oracle = MembershipOracle(dec)
     o = np.asarray(objective, dtype=float)
     A = np.array([a for a, _ in constraints], dtype=float).reshape(-1, len(o))
     b = np.array([rhs for _, rhs in constraints], dtype=float)
@@ -408,8 +410,7 @@ def constrained_max(
     slack = np.hstack([np.eye(len(b)), -np.eye(len(b))])
     state = {}
 
-    def master():
-        X = oracle.points
+    def master(X):
         cost = np.r_[-(X @ o), np.full(slack.shape[1], penalty)]
         A_eq = np.vstack([np.r_[np.ones(len(X)), np.zeros(slack.shape[1])],
                           np.hstack([A @ X.T, slack])])
@@ -424,6 +425,6 @@ def constrained_max(
             raise InfeasibleError(f"the constraints miss the region by {state['slack']:.2e}")
         return float(state["point"] @ o), state["point"]
 
-    return oracle._generate(master, lambda pi: o + A.T @ pi, lambda pi, h: (pi @ b - h, pi),
-                            settle)
+    return _generate(dec, extreme_points(dec, _seed_directions(dec.clone_count))[0], master,
+                     lambda pi: o + A.T @ pi, lambda pi, h: (pi @ b - h, pi), settle)
 

@@ -306,14 +306,23 @@ class TestHullCertificate:
             assert hull.facet_support[f] == pytest.approx(h, abs=1e-12)
 
     def test_vertices_are_members(self, case):
-        # about 60 ms a boundary point, so the vertices of 10 of the facets
+        # every vertex is an exact extreme point, so its gauge is 1; at 80-90 ms
+        # a vertex (2-core VM), the 29-30 vertices of 10 of the facets
         dec, hull, facets = case
         slack = hull.vertices @ hull.facet_normals[facets[:10]].T - hull.facet_offsets[facets[:10]]
         on_facets = hull.vertices[np.any(np.abs(slack) <= 1e-12, axis=1)]
         assert len(on_facets) >= hull.dim
         oracle = MembershipOracle(dec)
+        seeds = len(oracle.points)
         for x in on_facets:
-            assert oracle.classify(x) in ("inside", "boundary")
+            cert = oracle.certify(x)
+            assert cert.verdict == "boundary"
+            # the columns' weights sum to the gauge's upper bound, at most
+            # 1 + tol, and the seeds share the rest
+            assert np.all(cert.weights[:-seeds] >= 0)
+            assert np.all(cert.weights[-seeds:] >= -1e-9 / seeds)
+            assert cert.weights.sum() == pytest.approx(1.0, abs=1e-12)
+            assert np.abs(cert.weights @ cert.points - x).max() <= 1e-9
 
 
 class TestExtremePoints:
@@ -373,6 +382,42 @@ class TestMembership:
         assert oracle.classify(1.001 * top, tol=1e-9) == "outside"
         assert oracle.classify(low, tol=1e-9) == verdict
         assert oracle.classify((low + top) / 2, tol=1e-9) == "inside"
+
+
+class TestPerQueryColumns:
+    """Each query generates its own columns from the 2N + 2 seeds."""
+
+    def test_master_holds_only_this_querys_columns(self, monkeypatch):
+        dec = decompose(4, 2)
+        oracle = MembershipOracle(dec)
+        seeds, cuts, N = oracle.points.copy(), oracle.cuts.copy(), dec.clone_count
+        columns = []
+        solve = regions._solve_master
+
+        def recording(cost, A_eq, b_eq):
+            columns.append(A_eq.shape[1])
+            return solve(cost, A_eq, b_eq)
+
+        monkeypatch.setattr(regions, "_solve_master", recording)
+        rng = np.random.Generator(np.random.PCG64(42))
+        for w in rng.normal(size=(10, N)):
+            columns.clear()
+            x, _ = extreme_point(dec, w)
+            assert oracle.classify(x) == "boundary"
+            # a master call prices at most two columns before the next one
+            for k, count in enumerate(columns):
+                assert count <= 2 * N + 2 + 2 * k
+        assert len(oracle.bases) > 0
+        np.testing.assert_array_equal(oracle.points, seeds)
+        np.testing.assert_array_equal(oracle.cuts, cuts)
+
+    def test_constrained_max_builds_no_oracle(self, dec32, monkeypatch):
+        def refuse(self, dec):
+            raise AssertionError("constrained_max built a MembershipOracle")
+
+        monkeypatch.setattr(MembershipOracle, "__init__", refuse)
+        value, _ = constrained_max(dec32, np.array([1.0, 0.0]))
+        assert value == pytest.approx(1.0, abs=1e-6)
 
 
 class TestCertificates:
