@@ -15,7 +15,9 @@ partition of n - 2 with at most d parts, whose eigenvalues count once for
 each of the orbit's d! / ((d - l)! prod_j m_j!) sectors. Mixed Schur-Weyl
 duality repeats block alpha r(alpha) = s_alpha(1^d) times and leaves the rest
 of those sectors zero, so one sorted comparison certifies the blocks, with
-nothing fitted. Singlet fractions of a pure state come from its vector.
+nothing fitted. A stack of directions is certified in one pass that builds
+each representative sector's X_k once. Singlet fractions of a pure state come
+from its vector.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import numpy as np
 import numpy.random  # NumPy 2 loads it lazily; load it with the package, not on first draw
 
 from .algebra import Decomposition, InconsistencyError, require_memory
+from .regions import _BATCH, _directions, _stacked
 from .symgroup import Permutation, partitions_of
 
 
@@ -84,8 +87,39 @@ def pt_transposition(k: int, n: int, d: int) -> DenseOperator:
     return DenseOperator(T.reshape(d**n, d**n), n, d)
 
 
-def sector_blocks(w: np.ndarray, n: int, d: int):
-    """Yield (orbit, indices, block) of sum_k w_{k-2} V^{t_1}(1k), one charge orbit a block.
+def _sector(parts: tuple[int, ...], n: int, d: int):
+    """The states of the representative sector of type `parts` and the entries of its X_k.
+
+    The states put colour c on leg 1 and an arrangement of q + {c} on legs
+    2..n, q = (0^{parts_1}, 1^{parts_2}, ...), enumerated in ascending order by
+    prefix extension.  X_k has a 1 at (row[i, a], col[i]) for every a, in the
+    local indices of the sector, for k = 2..n in order.  InconsistencyError if
+    an entry joins two sectors.
+    """
+    states = np.arange(d)  # leg 1, then legs 2..n one at a time
+    left = np.eye(d, dtype=np.int64) + np.pad(parts, (0, d - len(parts)))
+    for _ in range(n - 1):
+        prefix, colour = np.nonzero(left)
+        states = states[prefix] * d + colour
+        left = left[prefix]
+        left[np.arange(colour.size), colour] -= 1
+    first = states // d ** (n - 1)
+    entries = []
+    for k in range(2, n + 1):
+        step = d ** (n - 1) + d ** (n - k)  # moves legs 1 and k together by one
+        col = np.flatnonzero(first == states // d ** (n - k) % d)
+        rows = (states[col] - first[col] * step)[:, None] + np.arange(d) * step
+        row = np.minimum(np.searchsorted(states, rows), states.size - 1)
+        if np.any(states[row] != rows):
+            i, a = np.argwhere(states[row] != rows)[0]
+            raise InconsistencyError(
+                f"entry ({rows[i, a]}, {states[col[i]]}) joins two charge sectors")
+        entries.append((row, col[:, None]))
+    return states, entries
+
+
+def sector_blocks(W: np.ndarray, n: int, d: int):
+    """Yield (orbit, indices, blocks) of sum_k W[..., k-2] V^{t_1}(1k), one charge orbit a block.
 
     X_k = V^{t_1}(1k) sends |i> with i_1 = i_k to sum_a |i with legs 1 and k
     set to a>. Every X_k conserves q_c = #{legs 2..n equal to c} - [leg 1 = c].
@@ -98,15 +132,20 @@ def sector_blocks(w: np.ndarray, n: int, d: int):
     partition of n - 2 with at most d parts, whose orbit holds
     d! / ((d - l(lambda))! prod_j m_j!) sectors (m_j parts equal to j).
 
-    The representative is q = (0^{lambda_1}, 1^{lambda_2}, ...): its states put
-    colour c on leg 1 and an arrangement of q + {c} on legs 2..n, enumerated
-    in ascending order by prefix extension. `indices` holds them and `block`
-    the dense restriction. Raises ValueError, before allocating any block,
-    when the largest representative would pass the memory budget, and
-    InconsistencyError if the orbits do not cover the kept states or an
-    entry joins two sectors.
+    W is one direction of shape (n - 1,) or a stack (k, n - 1).  Each
+    representative (see _sector) is enumerated once a call, with the entries
+    of its n - 1 operators X_k; `indices` holds its states.  For a stack,
+    `blocks` is (c, s, s), the dense restrictions along c consecutive rows of
+    W, at most regions._BATCH entries (or one block) a yield, so a sector
+    yields until its blocks have covered every row in order; for one
+    direction it is the (s, s) block.  Each block sums W[r, k-2] X_k over
+    k = 2..n in that order, the same floats for a row of a stack as for the
+    row alone.  Raises ValueError, before allocating any block, when the
+    largest yield would pass the memory budget, and InconsistencyError if the
+    orbits do not cover the kept states or an entry joins two sectors.
     """
-    w = np.asarray(w, dtype=float)
+    W = np.asarray(W, dtype=float)
+    rows = W.reshape(-1, n - 1)
     types = [lam for lam in partitions_of(n - 2) if lam.height <= d]
     orbits = [math.perm(d, lam.height)
               // math.prod(map(math.factorial, Counter(lam.parts).values())) for lam in types]
@@ -118,34 +157,24 @@ def sector_blocks(w: np.ndarray, n: int, d: int):
     covered = sum(map(math.prod, zip(orbits, sizes)))
     if covered != kept:
         raise InconsistencyError(f"the charge orbits cover {covered} states, not {kept}")
-    # the block, eigvalsh's copy and its workspace; the enumeration and one X_k's entries
+    # the blocks of one yield, eigvalsh's copy and its workspace; the
+    # enumeration, and the entries of the n - 1 X_k
     s_max = max(sizes)
-    require_memory(24 * s_max**2 + 64 * s_max * (n + d) + 2**20,
+    entries = min(len(rows) * s_max**2, max(s_max**2, _BATCH))
+    require_memory(24 * entries + 8 * s_max * (8 * (n + d) + (n - 1) * (d + 1)) + 2**20,
                    f"the charge sectors of (C^{d})^{n} up to size {s_max}")
 
     for lam, orbit, s in zip(types, orbits, sizes):
-        states = np.arange(d)  # leg 1, then legs 2..n one at a time
-        left = np.eye(d, dtype=np.int64) + np.pad(lam.parts, (0, d - lam.height))
-        for _ in range(n - 1):
-            prefix, colour = np.nonzero(left)
-            states = states[prefix] * d + colour
-            left = left[prefix]
-            left[np.arange(colour.size), colour] -= 1
+        states, X = _sector(lam.parts, n, d)
         if states.size != s:
             raise InconsistencyError(f"sector {lam.parts} holds {states.size} states, not {s}")
-        block = np.zeros((s, s))
-        first = states // d ** (n - 1)
-        for k in range(2, n + 1):
-            step = d ** (n - 1) + d ** (n - k)  # moves legs 1 and k together by one
-            col = np.flatnonzero(first == states // d ** (n - k) % d)
-            rows = (states[col] - first[col] * step)[:, None] + np.arange(d) * step
-            row = np.minimum(np.searchsorted(states, rows), s - 1)
-            if np.any(states[row] != rows):
-                i, a = np.argwhere(states[row] != rows)[0]
-                raise InconsistencyError(
-                    f"entry ({rows[i, a]}, {states[col[i]]}) joins two charge sectors")
-            block[row, col[:, None]] += w[k - 2]
-        yield orbit, states, block
+        step = max(1, _BATCH // s**2)
+        for i in range(0, len(rows), step):
+            chunk = rows[i : i + step]
+            blocks = np.zeros((len(chunk), s, s))
+            for (row, col), w in zip(X, chunk.T):
+                blocks[:, row, col] += w[:, None, None]
+            yield orbit, states, blocks if W.ndim == 2 else blocks[0]
 
 
 def _ptrace_to(rho: np.ndarray, keep: tuple[int, ...], n: int, d: int) -> np.ndarray:
@@ -305,34 +334,45 @@ def require_spectrum_memory(n: int, d: int) -> None:
                                       f"(C^{d})^{n}")
 
 
-def full_vs_block_spectrum(dec: Decomposition, w: np.ndarray) -> SpectrumReport:
-    """Certify the block decomposition along direction w.
+def full_vs_block_spectrum(dec: Decomposition, W: np.ndarray):
+    """Certify the block decomposition along direction W, or along each row of a stack W.
 
-    Diagonalizes sum_k w_{k-1} V^{t_1}(1k) on (C^d)^{x n} one representative
+    Diagonalizes sum_k W[r, k-2] V^{t_1}(1k) on (C^d)^{x n} one representative
     charge sector a colour orbit (see sector_blocks; ValueError past the
-    memory budget), repeats each sector's eigenvalues by its orbit size, and
-    compares the sorted result with the blocks' prediction: the spectrum of
-    sum_k w_{k-1} B_{k-1} in block alpha, repeated r(alpha) = s_alpha(1^d)
-    times, padded with zeros.
+    memory budget), one eigvalsh a yield of sector_blocks, so each sector is
+    enumerated once for the whole stack.  For each row it repeats each
+    sector's eigenvalues by its orbit size and compares the sorted result with
+    the blocks' prediction: the spectrum of sum_k W[r, k-2] B_{k-1} in block
+    alpha (one batched eigvalsh a block), repeated r(alpha) = s_alpha(1^d)
+    times, padded with zeros.  The spectra are expanded and compared one row
+    at a time.  Returns one SpectrumReport for W of shape (n - 1,), and a list
+    of one a row for W of shape (k, n - 1).
     """
     n, d = dec.n, dec.d
-    w = np.asarray(w, dtype=float)
-    if w.shape != (n - 1,) or not np.any(w):
-        raise ValueError(f"need a nonzero direction of length {n - 1}")
+    W = np.asarray(W, dtype=float)
+    rows = _directions(W, n - 1)
     require_spectrum_memory(n, d)
 
-    spectra = [(orbit, np.linalg.eigvalsh(block)) for orbit, _, block in sector_blocks(w, n, d)]
-    full = np.sort(np.concatenate([np.tile(e, orbit) for orbit, e in spectra]))
+    spectra = []  # (orbit, eigenvalues along each row) a representative sector
+    for orbit, _, blocks in sector_blocks(rows, n, d):
+        if not spectra or len(spectra[-1][1]) == len(rows):
+            spectra.append((orbit, []))
+        spectra[-1][1].extend(np.linalg.eigvalsh(blocks))
     r = {b.alpha: b.alpha.unitary_dimension(d) for b in dec.blocks}
-    predicted = np.concatenate([np.tile(np.linalg.eigvalsh(b.combine(w)), r[b.alpha])
-                                for b in dec.blocks])
-    if predicted.size > full.size:
-        raise InconsistencyError(
-            f"blocks hold {predicted.size} states, the kept sectors only {full.size}"
-        )
-    predicted = np.sort(np.concatenate([predicted, np.zeros(full.size - predicted.size)]))
-    return SpectrumReport(
-        w=w, full=full, predicted=predicted, r=r,
-        max_abs_gap=float(np.max(np.abs(full - predicted), initial=0.0)),
-        sectors=(len(spectra), sum(orbit for orbit, _ in spectra)),
-    )
+    block_spectra = [_stacked(b, rows, np.linalg.eigvalsh) for b in dec.blocks]
+    reports = []
+    for i, w in enumerate(rows):
+        full = np.sort(np.concatenate([np.tile(e[i], orbit) for orbit, e in spectra]))
+        predicted = np.concatenate([np.tile(e[i], r[b.alpha])
+                                    for b, e in zip(dec.blocks, block_spectra)])
+        if predicted.size > full.size:
+            raise InconsistencyError(
+                f"blocks hold {predicted.size} states, the kept sectors only {full.size}"
+            )
+        predicted = np.sort(np.concatenate([predicted, np.zeros(full.size - predicted.size)]))
+        reports.append(SpectrumReport(
+            w=w, full=full, predicted=predicted, r=r,
+            max_abs_gap=float(np.max(np.abs(full - predicted), initial=0.0)),
+            sectors=(len(spectra), sum(orbit for orbit, _ in spectra)),
+        ))
+    return reports if W.ndim == 2 else reports[0]

@@ -124,21 +124,35 @@ def sample_region(dec: Decomposition, count: int) -> list[RegionSample]:
     return [sample_block_region(b, count) for b in dec.blocks]
 
 
-def block_support(dec: Decomposition, w: np.ndarray) -> float:
-    """max over blocks of (1/d) lambda_max(sum_k w_k B_k); the origin excluded."""
-    return max(float(_top(block, np.reshape(w, (1, -1)))[0]) for block in dec.blocks) / dec.d
+def block_support(dec: Decomposition, W: np.ndarray):
+    """max over blocks of (1/d) lambda_max(sum_k W_k B_k); the origin excluded.
+
+    W is one direction, giving a float, or a (k, N) stack, giving k values.
+    """
+    W = np.asarray(W, dtype=float)
+    tops = np.max([_top(block, W.reshape(-1, dec.clone_count)) for block in dec.blocks],
+                  axis=0) / dec.d
+    return tops if W.ndim == 2 else float(tops[0])
 
 
-def support(dec: Decomposition, w: np.ndarray) -> float:
+def support(dec: Decomposition, W: np.ndarray):
     """Exact support function h(w) = max(block_support(w), 0) of the admissible region.
 
     The 0 is the ideal N's point, the origin; h(w) is the full-space
     (1/d) lambda_max(sum_k w_k V^{t_1}(1k)), whose kernel is never empty.
+    W is one direction, giving a float, or a (k, N) stack, giving k values
+    from one batched eigensolve a block.
     """
-    w = np.asarray(w, dtype=float)
-    if w.shape != (dec.clone_count,) or not np.any(w):
-        raise ValueError(f"need a nonzero direction of length {dec.clone_count}")
-    return max(block_support(dec, w), 0.0)
+    W = np.asarray(W, dtype=float)
+    h = np.maximum(block_support(dec, _directions(W, dec.clone_count)), 0.0)
+    return h if W.ndim == 2 else float(h[0])
+
+
+def _directions(W: np.ndarray, N: int) -> np.ndarray:
+    """W, one direction or a stack of them, as (k, N) rows; ValueError unless each is nonzero."""
+    if W.ndim not in (1, 2) or W.shape[-1] != N or not W.size or not np.all(np.any(W, axis=-1)):
+        raise ValueError(f"need nonzero directions of length {N}")
+    return W.reshape(-1, N)
 
 
 def _stacked(block: IrrepBlock, W: np.ndarray, solve) -> np.ndarray:
@@ -338,8 +352,13 @@ class MembershipOracle:
         self.bases = np.empty((0, N, N))  # columns x_j - c of optimal gauge-LP bases
 
     def certify(self, p: np.ndarray, tol: float = 1e-9) -> Certificate:
-        """Verdict on p: exact cuts bound g(p) from below, LP bases from above."""
-        u = np.asarray(p, dtype=float) - self.center
+        """Verdict on p: exact cuts bound g(p) from below, LP bases from above.
+
+        InconsistencyError if the bracket is inverted by more than tol, or if
+        an inside or boundary certificate misses p by more than tol.
+        """
+        p = np.asarray(p, dtype=float)
+        u = p - self.center
         j = int(np.argmax(self.cuts @ u))
         lower, cut = float(self.cuts[j] @ u), self.cuts[j]
         stored = np.linalg.solve(self.bases, u)  # weights of u on each stored basis
@@ -362,6 +381,9 @@ class MembershipOracle:
             return float(cut @ u), cut
 
         def settle(lower, upper, cut):
+            if lower > upper + tol:
+                raise InconsistencyError(
+                    f"the gauge bracket ({lower!r}, {upper!r}) is inverted by more than {tol}")
             if lower > 1 + tol:
                 return Certificate("outside", (lower, upper), cut)
             if upper >= 1 - tol and (lower < 1 - tol or upper > 1 + tol):
@@ -370,6 +392,10 @@ class MembershipOracle:
             cols, lam = best[1:]
             points = np.vstack([cols.T + self.center, self.points])
             weights = np.r_[lam, np.full(len(self.points), (1.0 - lam.sum()) / len(self.points))]
+            residual = float(np.max(np.abs(weights @ points - p)))
+            if residual > tol:
+                raise InconsistencyError(
+                    f"the certificate misses the point by {residual:.2e}, more than {tol}")
             verdict = "inside" if upper < 1 - tol else "boundary"
             return Certificate(verdict, (lower, upper), cut, points, weights)
 

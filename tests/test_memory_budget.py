@@ -134,6 +134,10 @@ def _site_call(site, size):
         dec = algebra.decompose(*size)
         w = np.random.default_rng(sum(size)).normal(size=dec.clone_count)
         return lambda: oracle.full_vs_block_spectrum(dec, w)
+    if site == "sector_blocks_stack":  # five directions in one call, as `check` makes it
+        dec = algebra.decompose(*size)
+        W = np.random.default_rng(sum(size)).normal(size=(5, dec.clone_count))
+        return lambda: oracle.full_vs_block_spectrum(dec, W)
     if site == "haar_isometry":
         return lambda: oracle.haar_isometry(*size, 0)
     if site == "perm_operator":
@@ -149,6 +153,8 @@ SITES = [
     ("irreps", (6, 4)), ("irreps", (7, 4)), ("irreps", (9, 2)),
     ("sector_blocks", (5, 4)), ("sector_blocks", (7, 4)), ("sector_blocks", (8, 3)),
     ("sector_blocks", (6, 8)),
+    ("sector_blocks_stack", (5, 4)), ("sector_blocks_stack", (7, 4)),
+    ("sector_blocks_stack", (8, 3)), ("sector_blocks_stack", (6, 8)),
     ("haar_isometry", (8, 5)), ("haar_isometry", (4, 5)), ("haar_isometry", (2, 14)),
     ("region", (3, 2, "--samples", 2000)), ("region", (4, 3, "--samples", 2000)),
     ("region", (4, 3, "--samples", 2000, "--format", "csv")),

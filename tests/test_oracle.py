@@ -174,6 +174,72 @@ class TestSectorBlocks:
             full_vs_block_spectrum(dec, np.ones(4))
 
 
+class TestStackedDirections:
+    """One call certifies a stack of directions, enumerating each sector once."""
+
+    @pytest.mark.parametrize("chunked", [False, True], ids=["one-yield", "row-a-yield"])
+    @pytest.mark.parametrize("n,d", [(3, 2), (4, 3), (5, 4), (6, 3), (7, 4)])
+    def test_stack_equals_single_calls(self, monkeypatch, n, d, chunked):
+        if chunked:  # a sector then yields once for each row of the stack
+            monkeypatch.setattr(oracle, "_BATCH", 1)
+        dec = decompose(n, d)
+        W = np.random.Generator(np.random.PCG64(3 * n + d)).normal(size=(5, n - 1))
+        reports = full_vs_block_spectrum(dec, W)
+        assert len(reports) == 5
+        for w, rep in zip(W, reports):
+            single = full_vs_block_spectrum(dec, w)
+            np.testing.assert_array_equal(rep.w, w)
+            np.testing.assert_array_equal(rep.full, single.full)
+            assert rep.max_abs_gap == pytest.approx(single.max_abs_gap, abs=1e-12)
+            assert rep.max_abs_gap < 1e-8
+            assert (rep.r, rep.sectors) == (single.r, single.sectors)
+
+    @pytest.mark.parametrize("n,d", [(5, 4), (6, 8)])
+    def test_stacked_blocks_equal_single_blocks(self, monkeypatch, n, d):
+        # sectors of 34 and 36 states then yield 2, 2 and 1 rows
+        monkeypatch.setattr(oracle, "_BATCH", 2 * 36**2)
+        W = np.random.Generator(np.random.PCG64(n * d)).normal(size=(5, n - 1))
+        singles = [list(sector_blocks(w, n, d)) for w in W]
+        seen = []
+        for orbit, I, blocks in sector_blocks(W, n, d):
+            if not seen or seen[-1][1] is not I:
+                seen.append((orbit, I, []))
+            seen[-1][2].extend(blocks)
+        assert len(seen) == len(singles[0])
+        for j, (orbit, I, blocks) in enumerate(seen):
+            assert len(blocks) == 5
+            for row, B in zip(singles, blocks):
+                assert row[j][0] == orbit
+                np.testing.assert_array_equal(row[j][1], I)
+                np.testing.assert_array_equal(row[j][2], B)
+
+    @pytest.mark.parametrize("batch", [None, 1], ids=["one-yield", "row-a-yield"])
+    def test_each_sector_enumerated_once(self, monkeypatch, batch):
+        if batch is not None:
+            monkeypatch.setattr(oracle, "_BATCH", batch)
+        n, d = 6, 8
+        dec = decompose(n, d)
+        enumerated = []
+        enumerate_sector = oracle._sector
+
+        def counting(parts, n, d):
+            enumerated.append(parts)
+            return enumerate_sector(parts, n, d)
+
+        monkeypatch.setattr(oracle, "_sector", counting)
+        W = np.random.Generator(np.random.PCG64(68)).normal(size=(5, n - 1))
+        reports = full_vs_block_spectrum(dec, W)
+        assert [rep.sectors for rep in reports] == [(5, 330)] * 5
+        assert sorted(enumerated) == sorted(lam.parts for lam in partitions_of(n - 2))
+
+    def test_rejects_malformed_stacks(self):
+        dec = decompose(4, 3)
+        for bad in (np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]), np.zeros((0, 3)),
+                    np.ones((2, 4)), np.ones((1, 1, 3))):
+            with pytest.raises(ValueError):
+                full_vs_block_spectrum(dec, bad)
+
+
 class TestSupportVsFullSpectrum:
     @pytest.mark.parametrize("n,d", [(3, 2), (4, 3), (5, 2), (5, 4)])
     def test_support_is_full_top_eigenvalue(self, n, d):

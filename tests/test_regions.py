@@ -3,7 +3,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from cloneregion import regions
-from cloneregion.algebra import decompose
+from cloneregion.algebra import InconsistencyError, decompose
 from cloneregion.regions import (
     InfeasibleError,
     GAP_FLOOR,
@@ -141,6 +141,19 @@ class TestSupport:
     def test_rejects_zero(self, dec32):
         with pytest.raises(ValueError):
             support(dec32, np.zeros(2))
+        with pytest.raises(ValueError):  # one zero row in a stack
+            support(dec32, np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("n,d", [(3, 2), (4, 3), (5, 4), (6, 3)])
+    def test_stack_equals_single_directions(self, n, d):
+        dec = decompose(n, d)
+        W = np.random.Generator(np.random.PCG64(n + d)).normal(size=(7, n - 1))
+        h, hb = support(dec, W), block_support(dec, W)
+        assert h.shape == hb.shape == (7,)
+        for w, top, block_top in zip(W, h, hb):
+            assert top == pytest.approx(support(dec, w), abs=1e-12)
+            assert block_top == pytest.approx(block_support(dec, w), abs=1e-12)
+        np.testing.assert_array_equal(h, np.maximum(hb, 0.0))
 
 
 # (d, n), so the ids read d-n
@@ -184,7 +197,8 @@ class TestSymmetricMax:
 class TestPositiveOrthantDominance:
     """Block alpha = (n-2) attains block_support along every sampled w > 0."""
 
-    @pytest.mark.parametrize("n,d", [(4, 2), (4, 3), (5, 2), (5, 3), (6, 3)])
+    @pytest.mark.parametrize("n,d", [(4, 2), (4, 3), (5, 2), (5, 3), (6, 3),
+                                     (6, 8), (7, 4), (8, 3), (8, 4)])
     def test_symmetric_block_wins(self, n, d):
         dec = decompose(n, d)
         [top] = [i for i, b in enumerate(dec.blocks) if b.alpha.parts == (n - 2,)]
@@ -196,7 +210,7 @@ class TestPositiveOrthantDominance:
         ]) / d
         runner_up = np.max(np.delete(tops, top, axis=0), axis=0, initial=-np.inf)
         margin = float(np.min(tops[top] - runner_up))
-        worst = max(abs(block_support(dec, w) - h) for w, h in zip(W, tops[top]))
+        worst = float(np.max(np.abs(block_support(dec, W) - tops[top])))
         print(f"({n},{d}): smallest margin to the runner-up block {margin:.2e}")
         assert worst <= 1e-12 * d, (f"alpha = ({n - 2}) misses block_support by {worst:.2e}; "
                                     f"smallest margin to the runner-up block {margin:.2e}")
@@ -323,6 +337,30 @@ class TestHullCertificate:
             assert np.all(cert.weights[-seeds:] >= -1e-9 / seeds)
             assert cert.weights.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.abs(cert.weights @ cert.points - x).max() <= 1e-9
+
+
+class TestCertificateSelfCheck:
+    """certify refuses a certificate that does not check, whatever the master LP says."""
+
+    @pytest.mark.parametrize("field,factor,message", [
+        ("x", 1 + 1e-6, "misses the point by"),
+        ("fun", 0.5, "is inverted by more than"),
+    ], ids=["weights", "bracket"])
+    def test_doctored_master_raises(self, monkeypatch, field, factor, message):
+        # the extreme point along (1, ..., 1) has gauge 1, and its seed cut says so
+        dec = decompose(4, 2)
+        x, _ = extreme_point(dec, np.ones(dec.clone_count))
+        assert MembershipOracle(dec).classify(x) == "boundary"
+        solve = regions._solve_master
+
+        def doctored(cost, A_eq, b_eq):
+            res = solve(cost, A_eq, b_eq)
+            res[field] = res[field] * factor
+            return res
+
+        monkeypatch.setattr(regions, "_solve_master", doctored)
+        with pytest.raises(InconsistencyError, match=message):
+            MembershipOracle(dec).certify(x)
 
 
 class TestExtremePoints:
