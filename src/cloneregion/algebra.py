@@ -18,7 +18,8 @@ orthogonal form of alpha and psi that of the direct sum of the kept nu,
 Y_m maps tableau T of alpha to the tableau T + m of nu (m in the box
 nu/alpha) with weight sqrt((d + c(nu/alpha)) dim psi^nu / (m dim phi)),
 c the content of the added box; then Y_{m-1} = Y_m psi(s_{m-1}) and
-Y_a = phi(s_a) Y_{a+1} psi(s_a).  Every step is a sparse gather.
+Y_a = phi(s_a) Y_{a+1} psi(s_a).  Every step is a sparse gather (psi's over
+all kept psi^nu at once) into one (m, dim phi, dim) array of factors.
 
 The Gram-like matrix Q(alpha), evaluated from phi alone, certifies
 the closed form: stacking the Y_a (coset m twisted by phi(s_1) for n >= 4,
@@ -183,8 +184,10 @@ def build_block(alpha: Partition, n: int, d: int) -> IrrepBlock:
     """Build the generators B_a = Y_a^T Y_a from the closed-form factors Y_a.
 
     The nu of height d + 1 carries eigenvalue 0 and is recorded as dropped.
-    The factor is certified against build_Q: InconsistencyError is raised
-    unless max |Y Y^T - Q(alpha)| <= 1e-8 d.
+    Each B_a is a general product, symmetric to rounding.  The factor is
+    certified against build_Q, one coset a at a time: its rows of Y Y^T from
+    block column a on are compared with Q's block row a and block column a.
+    InconsistencyError is raised unless max |Y Y^T - Q(alpha)| <= 1e-8 d.
     """
     m = n - 1
     phi = young_orthogonal_rep(alpha)
@@ -196,28 +199,36 @@ def build_block(alpha: Partition, n: int, d: int) -> IrrepBlock:
     spans = np.cumsum([0] + [psi.dim for psi in psis])
     boxes = [_added_box(alpha, nu) for nu in labels]
     eigenvalues = [float(d + col - row) for row, col in boxes]
+    # psi, the direct sum of the kept psi^nu, as one sparse form
+    diag = np.hstack([psi.diag for psi in psis])
+    off = np.hstack([psi.off for psi in psis])
+    partner = np.hstack([psi.partner + start for psi, start in zip(psis, spans)])
 
-    # Y_m has one entry per (T, nu), in column (nu, T + m).  The tableaux of nu
-    # with m in the box nu/alpha are the T + m, in the order of the T.
-    Y = np.zeros((w, spans[-1]))
+    # factors[a-1] = Y_a.  Y_m has one entry per (T, nu), in column (nu, T + m).
+    # The tableaux of nu with m in the box nu/alpha are the T + m, in the order
+    # of the T.
+    factors = np.zeros((m, w, spans[-1]))
     for psi, (row, _), lam, start in zip(psis, boxes, eigenvalues, spans):
         grown = start + np.flatnonzero(psi.words[:, -1] == row)
-        Y[np.arange(w), grown] = np.sqrt(lam * psi.dim / (m * w))
-    factors = [Y]
-    for a in range(m - 1, 0, -1):  # psi is block diagonal over the kept nu
-        Y = np.hstack([psi.right(Y[:, i:j], a) for psi, i, j in zip(psis, spans, spans[1:])])
-        if a < m - 1:
-            Y = phi.left(a, Y)
-        factors.append(Y)
-    factors.reverse()  # factors[a-1] = Y_a
+        factors[-1, np.arange(w), grown] = np.sqrt(lam * psi.dim / (m * w))
+    for a in range(m - 1, 0, -1):
+        Y = factors[a] * diag[a - 1] + factors[a][:, partner[a - 1]] * off[a - 1]
+        factors[a - 1] = phi.left(a, Y) if a < m - 1 else Y
+    # general products: NumPy sends Ya.T @ Ya to syrk, whose mirroring of the
+    # triangle costs more than the half product it saves
     generators = np.empty((m, spans[-1], spans[-1]))
     for Ya, B in zip(factors, generators):
-        np.matmul(Ya.T, Ya, out=B)
+        np.matmul(np.ascontiguousarray(Ya.T), Ya, out=B)
 
-    stacked = np.vstack(factors[:-1] + [phi.left(1, factors[-1]) if n >= 4 else factors[-1]])
-    gram = stacked @ stacked.T
-    gram -= build_Q(alpha, n, d).entries
-    gram_residual = float(np.max(np.abs(gram))) / d
+    if n >= 4:  # the last coset twisted as in build_Q
+        factors[-1] = phi.left(1, factors[-1])
+    Q = build_Q(alpha, n, d).entries
+    deviations = []
+    for a in range(m):
+        R = factors[a] @ factors[a:].reshape(-1, spans[-1]).T
+        for D in (R - Q[a * w:(a + 1) * w, a * w:], R - Q[a * w:, a * w:(a + 1) * w].T):
+            deviations += [D.max(), -D.min()]
+    gram_residual = float(np.max(deviations)) / d
     if not gram_residual <= 1e-8:
         raise InconsistencyError(
             f"Q({alpha}) at n={n}, d={d}: the closed-form factor misses Y Y^T = Q "
@@ -251,14 +262,15 @@ class Decomposition:
 
 def decompose(n: int, d: int) -> Decomposition:
     """All blocks for (n, d); ValueError, before any is built, past the memory budget."""
-    # A block keeps n-1 generators of dim^2 floats.  While it is built, Q(alpha),
-    # Y Y^T, the factors and their stack take at most 4 (n-1)^2 dim_phi^2 more.
+    # A block keeps n-1 generators of dim^2 floats.  While it is built, its
+    # (n-1, dim_phi, dim) factors, Q(alpha) and one coset row of Y Y^T with its
+    # two differences from Q, (n-1) dim_phi^2 floats each, take the rest.
     # Partitions are read lazily, so a size far past the budget is refused at
     # its first blocks.
     m, need, alphas = n - 1, 2**20, []
     for alpha in _admissible(n, d, n - 2):
-        dim = sum(nu.dimension for nu in branch_up(alpha) if nu.height <= d)
-        need += 8 * m * dim * dim + 32 * (m * alpha.dimension) ** 2
+        dim, w = sum(nu.dimension for nu in branch_up(alpha) if nu.height <= d), alpha.dimension
+        need += 8 * m * dim * dim + 8 * m * w * (dim + (m + 3) * w)
         require_memory(need, f"decompose({n}, {d})")
         alphas.append(alpha)
     blocks = tuple(build_block(a, n, d) for a in alphas)

@@ -44,6 +44,7 @@ from .oracle import (
     vector_singlet_fractions,
 )
 from .regions import (
+    _BATCH,
     MembershipOracle,
     build_hull,
     extreme_points,
@@ -161,10 +162,11 @@ def cmd_hull(args) -> int:
 def run_checks(n: int, d: int, seed: int = 0) -> list[tuple[str, bool, str]]:
     """Full certification suite for one (n, d); returns (name, ok, detail) rows.
 
-    The B^2 = d B, symmetry and trace rows read each block's whole generator
-    array at once.  The five random directions are one (5, n - 1) draw, the
-    same numbers as five draws of size n - 1, and one full_vs_block_spectrum
-    call and one support call certify all five.
+    The B^2 = d B and symmetry rows read each block's generators in chunks of
+    at most regions._BATCH entries (or one generator).  The five random
+    directions are one (5, n - 1) draw, the same numbers as five draws of
+    size n - 1, and one full_vs_block_spectrum call and one support call
+    certify all five.
     """
     results = []
 
@@ -179,8 +181,10 @@ def run_checks(n: int, d: int, seed: int = 0) -> list[tuple[str, bool, str]]:
     for block in dec.blocks:
         tag = f"alpha={block.alpha.parts}"
         G = block.generators
-        worst_rel = float(np.max(np.abs(G @ G - d * G)))
-        worst_sym = float(np.max(np.abs(G - G.transpose(0, 2, 1))))
+        step = max(1, _BATCH // block.dim**2)
+        chunks = [G[i : i + step] for i in range(0, len(G), step)]
+        worst_rel = float(np.max([np.max(np.abs(C @ C - d * C)) for C in chunks]))
+        worst_sym = float(np.max([np.max(np.abs(C - C.transpose(0, 2, 1))) for C in chunks]))
         worst_tr = float(np.max(np.abs(np.trace(G, axis1=1, axis2=2) - d * block.dim_phi)))
         add(f"{tag}: B^2 = d B", worst_rel < 1e-10, f"max dev {worst_rel:.2e}")
         add(f"{tag}: B symmetric", worst_sym < 1e-10, f"max dev {worst_sym:.2e}")

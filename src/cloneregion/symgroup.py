@@ -174,24 +174,27 @@ class Permutation:
         return swaps[::-1]
 
 
-def _tableau_words(alpha: Partition) -> np.ndarray:
-    """Row-index words of the standard tableaux of shape alpha, lexicographically.
+def _tableau_words(alpha: Partition) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column words of the standard tableaux of shape alpha, lexicographically.
 
-    Row k of the result gives, for each letter 1..m, the (0-based) row that
-    holds it.  Words grow one letter at a time; np.nonzero enumerates the
-    extensions by (prefix, row), which keeps the list in lexicographic order.
+    Row k of words (cols) gives, for each letter 1..m, the (0-based) row
+    (column) that holds it.  Words grow one letter at a time; np.nonzero
+    enumerates the extensions by (prefix, row), which keeps the list in
+    lexicographic order, and a letter's column is its row's count before it.
     """
     parts = np.array(alpha.parts)
-    words = np.zeros((1, 0), dtype=np.int64)
+    words = cols = np.zeros((1, 0), dtype=np.int64)
     counts = np.zeros((1, len(parts)), dtype=np.int64)
     for _ in range(alpha.size):
         room = counts < parts
         room[:, 1:] &= counts[:, 1:] < counts[:, :-1]
         prefix, row = np.nonzero(room)
-        words = np.hstack([words[prefix], row[:, None]])
         counts = counts[prefix]
-        counts[np.arange(len(row)), row] += 1
-    return words
+        grown = np.arange(len(row)), row
+        words = np.hstack([words[prefix], row[:, None]])
+        cols = np.hstack([cols[prefix], counts[grown][:, None]])
+        counts[grown] += 1
+    return words, cols
 
 
 def standard_tableaux(alpha: Partition) -> list[tuple[tuple[int, ...], ...]]:
@@ -199,7 +202,7 @@ def standard_tableaux(alpha: Partition) -> list[tuple[tuple[int, ...], ...]]:
     letters = np.arange(1, alpha.size + 1)
     return [
         tuple(tuple(int(k) for k in letters[word == r]) for r in range(alpha.height))
-        for word in _tableau_words(alpha)
+        for word in _tableau_words(alpha)[0]
     ]
 
 
@@ -257,15 +260,12 @@ def young_orthogonal_rep(alpha: Partition) -> OrthogonalRep:
 
     The s_i image has diagonal entries 1/r with r the axial distance from i
     to i+1, and off-diagonal entries sqrt(1 - 1/r^2) connecting tableaux that
-    differ by swapping i and i+1.  Contents come from cumulative row counts;
-    a swapped tableau is found by the integer code of its word.
+    differ by swapping i and i+1.  Contents are column minus row words; a
+    swapped tableau is found by the integer code of its word.
     """
-    words = _tableau_words(alpha)
+    words, cols = _tableau_words(alpha)
     dim, m = words.shape
     assert dim == alpha.dimension
-    # column of each letter = number of letters before it in its row
-    in_row = words[:, :, None] == np.arange(alpha.height)
-    cols = np.take_along_axis(np.cumsum(in_row, axis=1), words[:, :, None], axis=2)[:, :, 0] - 1
     contents = cols - words
     axial = (contents[:, 1:] - contents[:, :-1]).T  # (m-1, dim)
     if alpha.height**m >= 2**63:

@@ -197,6 +197,34 @@ class TestBuildBlock:
         with pytest.raises(InconsistencyError, match="misses Y Y\\^T = Q"):
             build_block(P(2, 1), 5, 3)
 
+    def test_wrong_box_in_the_factor_raises(self, monkeypatch):
+        # nu = (3, 1) is given the box one column left of its own: the same
+        # grown tableaux, but the weight of content 1 instead of 2
+        original = algebra._added_box
+
+        def misplaced(alpha, nu):
+            row, col = original(alpha, nu)
+            return (row, col - 1) if nu == P(3, 1) else (row, col)
+
+        monkeypatch.setattr(algebra, "_added_box", misplaced)
+        with pytest.raises(InconsistencyError, match="misses Y Y\\^T = Q"):
+            build_block(P(2, 1), 5, 3)
+
+    @pytest.mark.parametrize("alpha", admissible_M_irreps(6, 3), ids=str)
+    def test_one_lower_triangle_entry_of_Q_is_compared(self, monkeypatch, alpha):
+        # Q[-1, 0] lies below the diagonal, in the last coset's block row;
+        # its mirror Q[0, -1] is left as it is
+        original = algebra.build_Q
+
+        def perturbed(alpha, n, d):
+            Q = original(alpha, n, d).entries.copy()
+            Q[-1, 0] += 1e-3
+            return algebra.QMatrix(alpha, n, d, Q)
+
+        monkeypatch.setattr(algebra, "build_Q", perturbed)
+        with pytest.raises(InconsistencyError, match="misses Y Y\\^T = Q"):
+            build_block(alpha, 6, 3)
+
 
 class TestClosedForm:
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])

@@ -149,7 +149,7 @@ def _site_call(site, size):
 
 
 SITES = [
-    ("decompose", (10, 2)), ("decompose", (8, 4)), ("decompose", (9, 4)),
+    ("decompose", (10, 2)), ("decompose", (8, 4)), ("decompose", (9, 4)), ("decompose", (14, 2)),
     ("irreps", (6, 4)), ("irreps", (7, 4)), ("irreps", (9, 2)),
     ("sector_blocks", (5, 4)), ("sector_blocks", (7, 4)), ("sector_blocks", (8, 3)),
     ("sector_blocks", (6, 8)),
