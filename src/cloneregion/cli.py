@@ -36,16 +36,16 @@ from . import __version__
 from .algebra import decompose, decomposition_to_dict, require_memory
 from .oracle import (
     InconsistencyError,
+    charge_orbits,
     clone_fidelity_from_singlet,
     full_vs_block_spectrum,
     haar_isometry,
-    require_spectrum_memory,
     singlet_from_clone_fidelity,
     vector_singlet_fractions,
 )
 from .regions import (
-    _BATCH,
     MembershipOracle,
+    _stacked,
     build_hull,
     extreme_points,
     sample_region,
@@ -162,30 +162,31 @@ def cmd_hull(args) -> int:
 def run_checks(n: int, d: int, seed: int = 0) -> list[tuple[str, bool, str]]:
     """Full certification suite for one (n, d); returns (name, ok, detail) rows.
 
-    The B^2 = d B and symmetry rows read each block's generators in chunks of
-    at most regions._BATCH entries (or one generator).  The five random
-    directions are one (5, n - 1) draw, the same numbers as five draws of
-    size n - 1, and one full_vs_block_spectrum call and one support call
-    certify all five.
+    The memory predictions of the oracle (five directions) and of the product
+    vectors come first, so a refused size builds no block.  Generator rows read
+    each block's combinations along the identity, in regions._stacked's chunks.
+    One full_vs_block_spectrum call and one support call certify five random
+    directions, one (5, n - 1) draw: the numbers of five draws of size n - 1.
     """
     results = []
 
     def add(name, ok, detail=""):
         results.append((name, bool(ok), detail))
 
-    dec = decompose(n, d)
-    # refuse before any row runs: first as the oracle would, then for the
-    # product vectors of the classical-clone row
-    require_spectrum_memory(n, d)
+    # refuse before any block is built: first as the oracle would, then for
+    # the product vectors of the classical-clone row
+    charge_orbits(n, d, 5)
     require_memory(16 * d**n + 2**20, f"the product vectors of (C^{d})^{n}")
+    dec = decompose(n, d)
     for block in dec.blocks:
         tag = f"alpha={block.alpha.parts}"
-        G = block.generators
-        step = max(1, _BATCH // block.dim**2)
-        chunks = [G[i : i + step] for i in range(0, len(G), step)]
-        worst_rel = float(np.max([np.max(np.abs(C @ C - d * C)) for C in chunks]))
-        worst_sym = float(np.max([np.max(np.abs(C - C.transpose(0, 2, 1))) for C in chunks]))
-        worst_tr = float(np.max(np.abs(np.trace(G, axis1=1, axis2=2) - d * block.dim_phi)))
+
+        def deviations(C):  # max |B^2 - d B|, |B - B^T| and |tr B - d dim_phi| over the B in C
+            return [[np.max(np.abs(C @ C - d * C)), np.max(np.abs(C - C.transpose(0, 2, 1))),
+                     np.max(np.abs(np.trace(C, axis1=1, axis2=2) - d * block.dim_phi))]]
+
+        devs = np.max(_stacked(block, np.eye(n - 1), deviations), axis=0)
+        worst_rel, worst_sym, worst_tr = map(float, devs)
         add(f"{tag}: B^2 = d B", worst_rel < 1e-10, f"max dev {worst_rel:.2e}")
         add(f"{tag}: B symmetric", worst_sym < 1e-10, f"max dev {worst_sym:.2e}")
         add(f"{tag}: tr B = d dim_phi", worst_tr < 1e-10, f"max dev {worst_tr:.2e}")
@@ -208,7 +209,7 @@ def run_checks(n: int, d: int, seed: int = 0) -> list[tuple[str, bool, str]]:
     # the skipped charge sectors are zero, so the full spectrum always holds 0
     worst = 0.0
     if reps:
-        top = np.maximum([rep.full[-1] for rep in reps], 0.0) / d
+        top = np.maximum([rep.full[0][-1] for rep in reps], 0.0) / d
         worst = float(np.max(np.abs(support(dec, W) - top) / np.maximum(1.0, np.abs(top))))
     add("support equals full-space lambda_max/d (5 random directions)",
         len(reps) == 5 and worst < 1e-8, f"max dev {worst:.2e}")

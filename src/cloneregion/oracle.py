@@ -5,19 +5,16 @@ Choi states of isometry-induced cloning channels, and singlet fractions.
 Everything here is independent of the representation-theoretic pipeline and
 is used to certify it.
 
-The spectrum certifier never forms a d^n x d^n matrix. Every
-X_k = V^{t_1}(1k) conserves, for each colour c, the charge
-q_c = #{legs 2..n equal to c} - [leg 1 = c], and every colour permutation
-P^{x n} (P real, so P-bar = P on the transposed leg) commutes with X_k and
-maps sector q onto sector P(q) with the same spectrum. So sum_k w_k X_k is
-diagonalized on one representative sector a colour orbit, one orbit for each
-partition of n - 2 with at most d parts, whose eigenvalues count once for
-each of the orbit's d! / ((d - l)! prod_j m_j!) sectors. Mixed Schur-Weyl
-duality repeats block alpha r(alpha) = s_alpha(1^d) times and leaves the rest
-of those sectors zero, so one sorted comparison certifies the blocks, with
-nothing fitted. A stack of directions is certified in one pass that builds
-each representative sector's X_k once. Singlet fractions of a pure state come
-from its vector.
+The spectrum certifier never forms a d^n x d^n matrix, nor any array of one
+entry a state. sum_k w_k V^{t_1}(1k) is diagonalized on one representative
+charge sector a colour orbit (see sector_blocks), whose eigenvalues count
+once for each sector of the orbit. Mixed Schur-Weyl duality repeats block
+alpha r(alpha) = s_alpha(1^d) times and leaves the rest of those sectors
+zero, so one sorted comparison of two (value, multiplicity) lists certifies
+the blocks, with nothing fitted. Memory is bounded by the largest
+representative sector (charge_orbits). A stack of directions is certified in
+one pass that builds each representative sector's X_k once. Singlet
+fractions of a pure state come from its vector.
 """
 
 from __future__ import annotations
@@ -118,34 +115,14 @@ def _sector(parts: tuple[int, ...], n: int, d: int):
     return states, entries
 
 
-def sector_blocks(W: np.ndarray, n: int, d: int):
-    """Yield (orbit, indices, blocks) of sum_k W[..., k-2] V^{t_1}(1k), one charge orbit a block.
+def charge_orbits(n: int, d: int, directions: int = 1) -> list[tuple]:
+    """(lambda, orbit, size) of the representative charge sector of each type lambda.
 
-    X_k = V^{t_1}(1k) sends |i> with i_1 = i_k to sum_a |i with legs 1 and k
-    set to a>. Every X_k conserves q_c = #{legs 2..n equal to c} - [leg 1 = c].
-    A sector with some q_c = -1 (leg 1's colour absent from legs 2..n) lies in
-    the kernel of every X_k and is skipped; on the others q is the multiset of
-    n - 2 colours left on legs 2..n after one copy of leg 1's colour is removed.
-    A colour permutation P is a real permutation matrix, so P^{x n} commutes
-    with every X_k and maps sector q onto sector P(q) with the same spectrum.
-    One sector therefore stands for each multiplicity type lambda of q, a
-    partition of n - 2 with at most d parts, whose orbit holds
-    d! / ((d - l(lambda))! prod_j m_j!) sectors (m_j parts equal to j).
-
-    W is one direction of shape (n - 1,) or a stack (k, n - 1).  Each
-    representative (see _sector) is enumerated once a call, with the entries
-    of its n - 1 operators X_k; `indices` holds its states.  For a stack,
-    `blocks` is (c, s, s), the dense restrictions along c consecutive rows of
-    W, at most regions._BATCH entries (or one block) a yield, so a sector
-    yields until its blocks have covered every row in order; for one
-    direction it is the (s, s) block.  Each block sums W[r, k-2] X_k over
-    k = 2..n in that order, the same floats for a row of a stack as for the
-    row alone.  Raises ValueError, before allocating any block, when the
-    largest yield would pass the memory budget, and InconsistencyError if the
-    orbits do not cover the kept states or an entry joins two sectors.
+    lambda is a partition of n - 2 with at most d parts, whose orbit holds
+    d! / ((d - l(lambda))! prod_j m_j!) sectors (m_j parts equal to j) of
+    `size` states.  ValueError when sector_blocks along `directions` rows
+    would pass the memory budget, the one prediction that bounds the oracle.
     """
-    W = np.asarray(W, dtype=float)
-    rows = W.reshape(-1, n - 1)
     types = [lam for lam in partitions_of(n - 2) if lam.height <= d]
     orbits = [math.perm(d, lam.height)
               // math.prod(map(math.factorial, Counter(lam.parts).values())) for lam in types]
@@ -160,11 +137,38 @@ def sector_blocks(W: np.ndarray, n: int, d: int):
     # the blocks of one yield, eigvalsh's copy and its workspace; the
     # enumeration, and the entries of the n - 1 X_k
     s_max = max(sizes)
-    entries = min(len(rows) * s_max**2, max(s_max**2, _BATCH))
+    entries = min(directions * s_max**2, max(s_max**2, _BATCH))
     require_memory(24 * entries + 8 * s_max * (8 * (n + d) + (n - 1) * (d + 1)) + 2**20,
                    f"the charge sectors of (C^{d})^{n} up to size {s_max}")
+    return list(zip(types, orbits, sizes))
 
-    for lam, orbit, s in zip(types, orbits, sizes):
+
+def sector_blocks(W: np.ndarray, n: int, d: int):
+    """Yield (orbit, indices, blocks) of sum_k W[..., k-2] V^{t_1}(1k), one charge orbit a block.
+
+    X_k = V^{t_1}(1k) sends |i> with i_1 = i_k to sum_a |i with legs 1 and k
+    set to a>. Every X_k conserves q_c = #{legs 2..n equal to c} - [leg 1 = c].
+    A sector with some q_c = -1 (leg 1's colour absent from legs 2..n) lies in
+    the kernel of every X_k and is skipped; on the others q is the multiset of
+    n - 2 colours left on legs 2..n after one copy of leg 1's colour is removed.
+    A colour permutation P is a real permutation matrix, so P^{x n} commutes
+    with every X_k and maps sector q onto sector P(q) with the same spectrum.
+    One sector therefore stands for each multiplicity type of q (charge_orbits).
+
+    W is one direction of shape (n - 1,) or a stack (k, n - 1).  Each
+    representative (see _sector) is enumerated once a call, with the entries
+    of its n - 1 operators X_k; `indices` holds its states.  For a stack,
+    `blocks` is (c, s, s), the dense restrictions along c consecutive rows of
+    W, at most regions._BATCH entries (or one block) a yield, so a sector
+    yields until its blocks have covered every row in order; for one
+    direction it is the (s, s) block.  Each block sums W[r, k-2] X_k over
+    k = 2..n in that order, the same floats for a row of a stack as for the
+    row alone.  Raises as charge_orbits does, before allocating any block, and
+    InconsistencyError if an entry joins two sectors.
+    """
+    W = np.asarray(W, dtype=float)
+    rows = W.reshape(-1, n - 1)
+    for lam, orbit, s in charge_orbits(n, d, len(rows)):
         states, X = _sector(lam.parts, n, d)
         if states.size != s:
             raise InconsistencyError(f"sector {lam.parts} holds {states.size} states, not {s}")
@@ -316,42 +320,45 @@ def special_states(kind: str, n: int, d: int, j: int | None = None) -> DenseOper
 
 @dataclass
 class SpectrumReport:
-    """Full-space spectrum in one direction w against the one the blocks predict."""
+    """Full-space spectrum in one direction w, checked against the one the blocks predict."""
 
     w: np.ndarray
-    full: np.ndarray
-    predicted: np.ndarray
+    full: tuple[np.ndarray, np.ndarray]  # (ascending eigenvalues, multiplicities): np.repeat(*full)
     r: dict
     max_abs_gap: float
     sectors: tuple[int, int]  # representative charge sectors diagonalized, sectors they stand for
 
 
-def require_spectrum_memory(n: int, d: int) -> None:
-    """ValueError if the orbit-repeated spectra of full_vs_block_spectrum pass the memory budget."""
-    # the two sorted spectra and at most four temporaries: 6 words a kept state
-    kept = d * (d ** (n - 1) - (d - 1) ** (n - 1))
-    require_memory(48 * kept + 2**20, f"the spectra of the {kept} states in the charge sectors of "
-                                      f"(C^{d})^{n}")
+def _spectrum(values: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.repeat(values, counts), sorted, as (ascending values, their counts)."""
+    order = np.argsort(values)
+    return values[order], counts[order]
+
+
+def _max_gap(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]) -> float:
+    """max_j |A_j - B_j| of A = np.repeat(*a), B = np.repeat(*b), read at the steps of either."""
+    ends_a, ends_b = np.cumsum(a[1]), np.cumsum(b[1])
+    # one past the last index of each step of either; a step of count 0 ends
+    # where the one before it does, or at 0, before any state, if it comes first
+    ends = np.maximum(np.concatenate((ends_a, ends_b)), 1)
+    at_a, at_b = np.searchsorted(ends_a, ends), np.searchsorted(ends_b, ends)
+    return float(np.max(np.abs(a[0][at_a] - b[0][at_b]), initial=0.0))
 
 
 def full_vs_block_spectrum(dec: Decomposition, W: np.ndarray):
     """Certify the block decomposition along direction W, or along each row of a stack W.
 
-    Diagonalizes sum_k W[r, k-2] V^{t_1}(1k) on (C^d)^{x n} one representative
-    charge sector a colour orbit (see sector_blocks; ValueError past the
-    memory budget), one eigvalsh a yield of sector_blocks, so each sector is
-    enumerated once for the whole stack.  For each row it repeats each
-    sector's eigenvalues by its orbit size and compares the sorted result with
-    the blocks' prediction: the spectrum of sum_k W[r, k-2] B_{k-1} in block
-    alpha (one batched eigvalsh a block), repeated r(alpha) = s_alpha(1^d)
-    times, padded with zeros.  The spectra are expanded and compared one row
-    at a time.  Returns one SpectrumReport for W of shape (n - 1,), and a list
-    of one a row for W of shape (k, n - 1).
+    Diagonalizes sum_k W[r, k-2] V^{t_1}(1k) one representative charge sector
+    a colour orbit, one eigvalsh a yield of sector_blocks, each eigenvalue
+    counted `orbit` times.  The blocks predict those of sum_k W[r, k-2] B_{k-1}
+    in block alpha (one batched eigvalsh a block), counted r(alpha) =
+    s_alpha(1^d) times, and zero on the kept states left over.  max_abs_gap
+    compares the sorted spectra entry by entry, from their (value, count)
+    lists.  One SpectrumReport for W of shape (n - 1,), a list for (k, n - 1).
     """
     n, d = dec.n, dec.d
     W = np.asarray(W, dtype=float)
     rows = _directions(W, n - 1)
-    require_spectrum_memory(n, d)
 
     spectra = []  # (orbit, eigenvalues along each row) a representative sector
     for orbit, _, blocks in sector_blocks(rows, n, d):
@@ -359,20 +366,17 @@ def full_vs_block_spectrum(dec: Decomposition, W: np.ndarray):
             spectra.append((orbit, []))
         spectra[-1][1].extend(np.linalg.eigvalsh(blocks))
     r = {b.alpha: b.alpha.unitary_dimension(d) for b in dec.blocks}
-    block_spectra = [_stacked(b, rows, np.linalg.eigvalsh) for b in dec.blocks]
+    full_counts = np.repeat([orbit for orbit, _ in spectra], [len(e[0]) for _, e in spectra])
+    block_counts = np.repeat([r[b.alpha] for b in dec.blocks], [b.dim for b in dec.blocks])
+    kept, held = int(full_counts.sum()), int(block_counts.sum())
+    if held > kept:
+        raise InconsistencyError(f"blocks hold {held} states, the kept sectors only {kept}")
+    block_counts = np.append(block_counts, kept - held)  # zero on the kept states left over
+    block_values = np.hstack([_stacked(b, rows, np.linalg.eigvalsh) for b in dec.blocks]
+                             + [np.zeros((len(rows), 1))])
     reports = []
-    for i, w in enumerate(rows):
-        full = np.sort(np.concatenate([np.tile(e[i], orbit) for orbit, e in spectra]))
-        predicted = np.concatenate([np.tile(e[i], r[b.alpha])
-                                    for b, e in zip(dec.blocks, block_spectra)])
-        if predicted.size > full.size:
-            raise InconsistencyError(
-                f"blocks hold {predicted.size} states, the kept sectors only {full.size}"
-            )
-        predicted = np.sort(np.concatenate([predicted, np.zeros(full.size - predicted.size)]))
-        reports.append(SpectrumReport(
-            w=w, full=full, predicted=predicted, r=r,
-            max_abs_gap=float(np.max(np.abs(full - predicted), initial=0.0)),
-            sectors=(len(spectra), sum(orbit for orbit, _ in spectra)),
-        ))
+    for w, values, predicted in zip(rows, np.hstack([e for _, e in spectra]), block_values):
+        full = _spectrum(values, full_counts)
+        gap = _max_gap(full, _spectrum(predicted, block_counts))
+        reports.append(SpectrumReport(w, full, r, gap, (len(spectra), sum(o for o, _ in spectra))))
     return reports if W.ndim == 2 else reports[0]

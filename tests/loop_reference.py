@@ -7,7 +7,9 @@ None of this calls the package's Young form, build_Q or build_block.
 
 The oracle's charge sectors are enumerated all at once from index arithmetic
 over every basis state (all_sector_blocks), where the package diagonalizes one
-representative sector a colour orbit.
+representative sector a colour orbit.  The gap between two spectra is read
+from their expansions to one float a state (expanded_gap), where the package
+reads it from (value, count) lists.
 
 The block maps are written one generator at a time: sum_k w_k B_k
 (loop_combine), the fidelity vector psi^T B_k psi / d (loop_fidelities) and
@@ -334,3 +336,16 @@ def all_sector_blocks(w: np.ndarray, n: int, d: int):
         yield (states[starts[first] : starts[last]].reshape(-1, s),
                blocks.reshape(-1, s, s))
         first = last
+
+
+def expanded_gap(full, predicted) -> float:
+    """max_j |A_j - B_j| of the sorted arrays A = np.repeat(*full), B = np.repeat(*predicted).
+
+    Each side is (values, counts) in any order, zero counts allowed; both are
+    expanded to one float a state, sorted and compared index by index.
+    ValueError unless they hold the same number of states.
+    """
+    A, B = np.sort(np.repeat(*full)), np.sort(np.repeat(*predicted))
+    if A.size != B.size:
+        raise ValueError(f"{A.size} states against {B.size}")
+    return float(np.max(np.abs(A - B), initial=0.0))

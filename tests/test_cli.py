@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from cloneregion import __version__, cli
+from cloneregion import __version__, cli, decompose, regions
 from cloneregion.cli import SCHEMA_VERSION, build_parser, main
 
 
@@ -149,6 +149,17 @@ class TestCheck:
         assert row.startswith("[PASS]") and "; 5 sectors for 330)" in row
         assert "28/28 checks passed" in out
 
+    @pytest.mark.parametrize("n,d", [(5, 4), (6, 3)])
+    def test_generator_rows_do_not_depend_on_the_chunk_size(self, monkeypatch, n, d):
+        def generator_rows():
+            return [row for row in cli.run_checks(n, d) if row[0].endswith(
+                (": B^2 = d B", ": B symmetric", ": tr B = d dim_phi"))]
+
+        rows = generator_rows()
+        assert len(rows) == 3 * len(decompose(n, d).blocks)
+        monkeypatch.setattr(regions, "_BATCH", 1)  # one generator a chunk
+        assert generator_rows() == rows
+
     def test_past_the_old_cap(self, capsys):
         code, out, _ = run(capsys, "check", "--n", "8", "--d", "3")
         assert code == 0
@@ -246,11 +257,23 @@ class TestArgumentValidation:
         assert code == 2 and "Haar isometry" in err and "memory budget" in err
         assert out == ""
 
-    def test_check_oracle_cap(self, capsys, no_eigensolve):
-        # past the budget the oracle rows cannot run, so check refuses the size
+    def test_check_oracle_cap(self, capsys, monkeypatch, no_eigensolve):
+        # check refuses a size before it builds any block
+        def refuse(*args, **kwargs):
+            raise AssertionError("decompose ran before the refusal")
+
+        monkeypatch.setattr(cli, "decompose", refuse)
+        # the largest sector, 4560 states, fits; the 40^6 entries of |i..i> do not
         code, out, err = run(capsys, "check", "--n", "6", "--d", "40")
-        assert code == 2 and "charge sectors" in err and "memory budget" in err
-        assert out == ""
+        assert code == 2 and out == ""
+        assert "the product vectors of (C^40)^6 would need about 62501.0 MiB" in err
+        # past the budget the oracle rows cannot run, so check refuses the size
+        for n in (10, 11):
+            start = time.perf_counter()
+            code, out, err = run(capsys, "check", "--n", str(n), "--d", "4")
+            assert time.perf_counter() - start < 1.0
+            assert code == 2 and "charge sectors" in err and "memory budget" in err
+            assert out == ""
 
     def test_check_product_vector_cap(self, capsys):
         # the oracle's sectors fit at (3, 600); the 600^3 entries of |i..i> do not

@@ -155,6 +155,7 @@ SITES = [
     ("sector_blocks", (6, 8)),
     ("sector_blocks_stack", (5, 4)), ("sector_blocks_stack", (7, 4)),
     ("sector_blocks_stack", (8, 3)), ("sector_blocks_stack", (6, 8)),
+    ("sector_blocks_stack", (4, 60)),
     ("haar_isometry", (8, 5)), ("haar_isometry", (4, 5)), ("haar_isometry", (2, 14)),
     ("region", (3, 2, "--samples", 2000)), ("region", (4, 3, "--samples", 2000)),
     ("region", (4, 3, "--samples", 2000, "--format", "csv")),

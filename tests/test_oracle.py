@@ -5,7 +5,7 @@ import pytest
 
 from cloneregion.algebra import InconsistencyError, decompose
 from cloneregion import algebra, oracle
-from cloneregion.regions import support, symmetric_max
+from cloneregion.regions import _stacked, support, symmetric_max
 from cloneregion.oracle import (
     ChannelSample,
     choi_state,
@@ -24,7 +24,7 @@ from cloneregion.oracle import (
 )
 from cloneregion.symgroup import Permutation, partitions_of
 
-from loop_reference import all_sector_blocks
+from loop_reference import all_sector_blocks, expanded_gap
 
 
 class TestPermOperator:
@@ -189,7 +189,7 @@ class TestStackedDirections:
         for w, rep in zip(W, reports):
             single = full_vs_block_spectrum(dec, w)
             np.testing.assert_array_equal(rep.w, w)
-            np.testing.assert_array_equal(rep.full, single.full)
+            np.testing.assert_array_equal(np.repeat(*rep.full), np.repeat(*single.full))
             assert rep.max_abs_gap == pytest.approx(single.max_abs_gap, abs=1e-12)
             assert rep.max_abs_gap < 1e-8
             assert (rep.r, rep.sectors) == (single.r, single.sectors)
@@ -255,7 +255,7 @@ class TestSupportVsFullSpectrum:
                                      (5, 2), (5, 3), (5, 4), (6, 3)])
     def test_symmetric_max_is_full_top_eigenvalue(self, n, d):
         dec = decompose(n, d)
-        top = max(full_vs_block_spectrum(dec, np.ones(n - 1)).full)
+        top = max(np.repeat(*full_vs_block_spectrum(dec, np.ones(n - 1)).full))
         assert symmetric_max(dec) == pytest.approx(top / (d * (n - 1)), abs=1e-10)
 
 
@@ -397,14 +397,14 @@ class TestFullVsBlockSpectrum:
     def test_n3_d2_symmetric_direction(self):
         dec = decompose(3, 2)
         rep = full_vs_block_spectrum(dec, np.array([1.0, 1.0]))
-        np.testing.assert_allclose(rep.full, [0, 0, 1, 1, 3, 3], atol=1e-9)
+        np.testing.assert_allclose(np.repeat(*rep.full), [0, 0, 1, 1, 3, 3], atol=1e-9)
         assert rep.r == {dec.blocks[0].alpha: 2}
         assert rep.max_abs_gap < 1e-9
 
     def test_single_clone_direction(self):
         dec = decompose(3, 3)
         rep = full_vs_block_spectrum(dec, np.array([1.0, 0.0]))
-        np.testing.assert_allclose(rep.full, [0.0] * 12 + [3.0, 3.0, 3.0], atol=1e-9)
+        np.testing.assert_allclose(np.repeat(*rep.full), [0.0] * 12 + [3.0, 3.0, 3.0], atol=1e-9)
 
     @pytest.mark.parametrize(
         "n,d,expect",
@@ -431,6 +431,23 @@ class TestFullVsBlockSpectrum:
         with pytest.raises(ValueError):
             full_vs_block_spectrum(dec, np.zeros(2))
 
+    @pytest.mark.parametrize("n,d", [(3, 2), (4, 3), (5, 4), (6, 8), (7, 4), (3, 50), (8, 3)])
+    def test_gap_equals_the_expanded_reference(self, n, d):
+        # five rows as `check` draws them; the blocks' side rebuilt from their eigenvalues
+        dec = decompose(n, d)
+        W = np.random.Generator(np.random.PCG64(n * d)).normal(size=(5, n - 1))
+        reports = full_vs_block_spectrum(dec, W)
+        spectra = [_stacked(b, W, np.linalg.eigvalsh) for b in dec.blocks]
+        for i, rep in enumerate(reports):
+            counts = np.concatenate([np.full(b.dim, rep.r[b.alpha]) for b in dec.blocks])
+            values = np.concatenate([e[i] for e in spectra])
+            zeros = rep.full[1].sum() - counts.sum()
+            assert zeros >= 0
+            predicted = (np.r_[values, 0.0], np.r_[counts, zeros])
+            assert rep.max_abs_gap == expanded_gap(rep.full, predicted)
+            assert np.all(np.diff(rep.full[0]) >= 0) and np.all(rep.full[1] > 0)
+            assert rep.full[1].sum() == d * (d ** (n - 1) - (d - 1) ** (n - 1))
+
     @pytest.mark.parametrize("n,d", [(4, 3), (5, 4)])
     def test_rejects_broken_decomposition(self, n, d):
         dec = decompose(n, d)
@@ -451,3 +468,27 @@ class TestFullVsBlockSpectrum:
             except InconsistencyError:
                 continue
             assert gap > 1e-8, name
+
+
+class TestStepGap:
+    """The gap read from (value, count) lists equals the entry-by-entry gap of their expansions."""
+
+    def test_random_lists_with_ties_and_zero_padding(self):
+        rng = np.random.Generator(np.random.PCG64(19))
+        grid = np.array([-1.5, -0.25, -0.0, 0.0, 0.5, 1.0, 2.0])  # ties across and within sides
+        for case in range(500):
+            size_a, size_b = rng.integers(1, 12, size=2)
+            values_a = np.where(rng.random(size_a) < 0.5, rng.choice(grid, size_a),
+                                rng.normal(size=size_a))
+            values_b = np.where(rng.random(size_b) < 0.5, rng.choice(grid, size_b),
+                                values_a[rng.integers(0, size_a, size_b)] + 1e-12 * case)
+            counts_a = rng.integers(0, 5, size_a)
+            counts_a[0] += 1  # at least one state
+            counts_b = rng.integers(0, 5, size_b)
+            while counts_b.sum() > counts_a.sum():
+                counts_b[np.argmax(counts_b)] -= 1
+            a = (values_a, counts_a)
+            b = (np.r_[values_b, 0.0], np.r_[counts_b, counts_a.sum() - counts_b.sum()])
+            full, predicted = oracle._spectrum(*a), oracle._spectrum(*b)
+            np.testing.assert_array_equal(np.repeat(*full), np.sort(np.repeat(*a)))
+            assert oracle._max_gap(full, predicted) == expanded_gap(a, b), case
