@@ -33,9 +33,10 @@ from typing import Iterable
 import numpy as np
 
 from . import __version__
-from .algebra import decompose, decomposition_to_dict, require_memory
+from .algebra import decompose, decomposition_to_dict
 from .oracle import (
     InconsistencyError,
+    _sector,
     charge_orbits,
     clone_fidelity_from_singlet,
     full_vs_block_spectrum,
@@ -162,21 +163,19 @@ def cmd_hull(args) -> int:
 def run_checks(n: int, d: int, seed: int = 0) -> list[tuple[str, bool, str]]:
     """Full certification suite for one (n, d); returns (name, ok, detail) rows.
 
-    The memory predictions of the oracle (five directions) and of the product
-    vectors come first, so a refused size builds no block.  Generator rows read
-    each block's combinations along the identity, in regions._stacked's chunks.
-    One full_vs_block_spectrum call and one support call certify five random
-    directions, one (5, n - 1) draw: the numbers of five draws of size n - 1.
+    The oracle's memory prediction (five directions) comes first, so a refused
+    size builds no block.  Generator rows read each block's combinations along
+    the identity, in regions._stacked's chunks.  One full_vs_block_spectrum
+    call and one support call certify five random directions, one (5, n - 1)
+    draw: the numbers of five draws of size n - 1.  The classical-clone row
+    reads the X_k of the charge sector of type (n - 2).
     """
     results = []
 
     def add(name, ok, detail=""):
         results.append((name, bool(ok), detail))
 
-    # refuse before any block is built: first as the oracle would, then for
-    # the product vectors of the classical-clone row
-    charge_orbits(n, d, 5)
-    require_memory(16 * d**n + 2**20, f"the product vectors of (C^{d})^{n}")
+    charge_orbits(n, d, 5)  # refuse before any block is built, as the oracle would
     dec = decompose(n, d)
     for block in dec.blocks:
         tag = f"alpha={block.alpha.parts}"
@@ -214,12 +213,10 @@ def run_checks(n: int, d: int, seed: int = 0) -> list[tuple[str, bool, str]]:
     add("support equals full-space lambda_max/d (5 random directions)",
         len(reps) == 5 and worst < 1e-8, f"max dev {worst:.2e}")
 
-    # (1/d) sum_i (|i><i|)^{x n}: the mean over the product vectors |i..i>,
-    # the basis vectors at multiples of step = (d^n - 1)/(d - 1)
-    step = (d**n - 1) // (d - 1)
-    F = np.mean(
-        [vector_singlet_fractions(np.eye(1, d**n, i * step), n, d) for i in range(d)], axis=0
-    )
+    # (1/d) sum_i (|i><i|)^{x n}: |0..0> is state 0 of the sector of type (n - 2),
+    # and a colour permutation, which commutes with every X_k, maps it to each |i..i>
+    sector = _sector((n - 2,), n, d)
+    F = sector.fidelities(np.eye(1, sector.dim))
     dev = float(np.max(np.abs(F - 1.0 / d)))
     add("classical-clone point equals (1/d, ..., 1/d)", dev < 1e-12, f"max dev {dev:.2e}")
 

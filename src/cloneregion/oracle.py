@@ -7,14 +7,15 @@ is used to certify it.
 
 The spectrum certifier never forms a d^n x d^n matrix, nor any array of one
 entry a state. sum_k w_k V^{t_1}(1k) is diagonalized on one representative
-charge sector a colour orbit (see sector_blocks), whose eigenvalues count
+charge sector a colour orbit (see charge_orbits), whose eigenvalues count
 once for each sector of the orbit. Mixed Schur-Weyl duality repeats block
 alpha r(alpha) = s_alpha(1^d) times and leaves the rest of those sectors
 zero, so one sorted comparison of two (value, multiplicity) lists certifies
-the blocks, with nothing fitted. Memory is bounded by the largest
+the blocks, with nothing fitted. A Sector is read like an IrrepBlock, so
+regions._stacked chunks both alike. Memory is bounded by the largest
 representative sector (charge_orbits). A stack of directions is certified in
 one pass that builds each representative sector's X_k once. Singlet
-fractions of a pure state come from its vector.
+fractions of a pure state come from its vector, or from a sector's X_k.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.random  # NumPy 2 loads it lazily; load it with the package, not on first draw
 
+from . import regions
 from .algebra import Decomposition, InconsistencyError, require_memory
-from .regions import _BATCH, _directions, _stacked
+from .regions import _directions, _stacked
 from .symgroup import Permutation, partitions_of
 
 
@@ -84,14 +86,42 @@ def pt_transposition(k: int, n: int, d: int) -> DenseOperator:
     return DenseOperator(T.reshape(d**n, d**n), n, d)
 
 
-def _sector(parts: tuple[int, ...], n: int, d: int):
-    """The states of the representative sector of type `parts` and the entries of its X_k.
+@dataclass(frozen=True)
+class Sector:
+    """A representative charge sector (see _sector), read like an IrrepBlock.
+
+    entries[k-2] = (row, col): X_k has a 1 at (row[i, a], col[i, 0]) for every a.
+    """
+
+    states: np.ndarray
+    entries: tuple[tuple[np.ndarray, np.ndarray], ...]
+    d: int
+
+    @property
+    def dim(self) -> int:
+        return self.states.size
+
+    def combine(self, W: np.ndarray) -> np.ndarray:
+        """sum_k W[..., k-2] X_k, added over k = 2..n in order: one dim x dim matrix a row of W."""
+        M = np.zeros(W.shape[:-1] + (self.dim, self.dim))
+        for (row, col), w in zip(self.entries, np.moveaxis(W, -1, 0)):
+            M[..., row, col] += w[..., None, None]
+        return M
+
+    def fidelities(self, psi: np.ndarray) -> np.ndarray:
+        """psi^T X_k psi / d for k = 2..n, along the last axis, for each row psi of states."""
+        return np.stack([np.sum(psi[..., row] * psi[..., col], axis=(-2, -1))
+                         for row, col in self.entries], axis=-1) / self.d
+
+
+def _sector(parts: tuple[int, ...], n: int, d: int) -> Sector:
+    """The representative sector of type `parts`: its states and the entries of its X_k.
 
     The states put colour c on leg 1 and an arrangement of q + {c} on legs
     2..n, q = (0^{parts_1}, 1^{parts_2}, ...), enumerated in ascending order by
-    prefix extension.  X_k has a 1 at (row[i, a], col[i]) for every a, in the
-    local indices of the sector, for k = 2..n in order.  InconsistencyError if
-    an entry joins two sectors.
+    prefix extension, so |0..0> is state 0 of type (n - 2).  X_k has a 1 at
+    (row[i, a], col[i]) for every a, in local indices, for k = 2..n in order.
+    InconsistencyError if an entry joins two sectors.
     """
     states = np.arange(d)  # leg 1, then legs 2..n one at a time
     left = np.eye(d, dtype=np.int64) + np.pad(parts, (0, d - len(parts)))
@@ -112,16 +142,25 @@ def _sector(parts: tuple[int, ...], n: int, d: int):
             raise InconsistencyError(
                 f"entry ({rows[i, a]}, {states[col[i]]}) joins two charge sectors")
         entries.append((row, col[:, None]))
-    return states, entries
+    return Sector(states, tuple(entries), d)
 
 
 def charge_orbits(n: int, d: int, directions: int = 1) -> list[tuple]:
     """(lambda, orbit, size) of the representative charge sector of each type lambda.
 
-    lambda is a partition of n - 2 with at most d parts, whose orbit holds
+    X_k = V^{t_1}(1k) sends |i> with i_1 = i_k to sum_a |i with legs 1 and k
+    set to a>. Every X_k conserves q_c = #{legs 2..n equal to c} - [leg 1 = c].
+    A sector with some q_c = -1 (leg 1's colour absent from legs 2..n) lies in
+    the kernel of every X_k and is skipped; on the others q is the multiset of
+    n - 2 colours left on legs 2..n after one copy of leg 1's colour is removed.
+    A colour permutation P is a real permutation matrix, so P^{x n} commutes
+    with every X_k and maps sector q onto sector P(q) with the same spectrum.
+    One sector (_sector) therefore stands for each multiplicity type lambda of
+    q, a partition of n - 2 with at most d parts, whose orbit holds
     d! / ((d - l(lambda))! prod_j m_j!) sectors (m_j parts equal to j) of
-    `size` states.  ValueError when sector_blocks along `directions` rows
-    would pass the memory budget, the one prediction that bounds the oracle.
+    `size` states.  ValueError when the largest sector's regions._stacked
+    along `directions` rows would pass the memory budget, the one prediction
+    that bounds the oracle; regions._BATCH is read at call time.
     """
     types = [lam for lam in partitions_of(n - 2) if lam.height <= d]
     orbits = [math.perm(d, lam.height)
@@ -134,51 +173,13 @@ def charge_orbits(n: int, d: int, directions: int = 1) -> list[tuple]:
     covered = sum(map(math.prod, zip(orbits, sizes)))
     if covered != kept:
         raise InconsistencyError(f"the charge orbits cover {covered} states, not {kept}")
-    # the blocks of one yield, eigvalsh's copy and its workspace; the
+    # the matrices of one chunk, eigvalsh's copy and its workspace; the
     # enumeration, and the entries of the n - 1 X_k
     s_max = max(sizes)
-    entries = min(directions * s_max**2, max(s_max**2, _BATCH))
+    entries = min(directions * s_max**2, max(s_max**2, regions._BATCH))
     require_memory(24 * entries + 8 * s_max * (8 * (n + d) + (n - 1) * (d + 1)) + 2**20,
                    f"the charge sectors of (C^{d})^{n} up to size {s_max}")
     return list(zip(types, orbits, sizes))
-
-
-def sector_blocks(W: np.ndarray, n: int, d: int):
-    """Yield (orbit, indices, blocks) of sum_k W[..., k-2] V^{t_1}(1k), one charge orbit a block.
-
-    X_k = V^{t_1}(1k) sends |i> with i_1 = i_k to sum_a |i with legs 1 and k
-    set to a>. Every X_k conserves q_c = #{legs 2..n equal to c} - [leg 1 = c].
-    A sector with some q_c = -1 (leg 1's colour absent from legs 2..n) lies in
-    the kernel of every X_k and is skipped; on the others q is the multiset of
-    n - 2 colours left on legs 2..n after one copy of leg 1's colour is removed.
-    A colour permutation P is a real permutation matrix, so P^{x n} commutes
-    with every X_k and maps sector q onto sector P(q) with the same spectrum.
-    One sector therefore stands for each multiplicity type of q (charge_orbits).
-
-    W is one direction of shape (n - 1,) or a stack (k, n - 1).  Each
-    representative (see _sector) is enumerated once a call, with the entries
-    of its n - 1 operators X_k; `indices` holds its states.  For a stack,
-    `blocks` is (c, s, s), the dense restrictions along c consecutive rows of
-    W, at most regions._BATCH entries (or one block) a yield, so a sector
-    yields until its blocks have covered every row in order; for one
-    direction it is the (s, s) block.  Each block sums W[r, k-2] X_k over
-    k = 2..n in that order, the same floats for a row of a stack as for the
-    row alone.  Raises as charge_orbits does, before allocating any block, and
-    InconsistencyError if an entry joins two sectors.
-    """
-    W = np.asarray(W, dtype=float)
-    rows = W.reshape(-1, n - 1)
-    for lam, orbit, s in charge_orbits(n, d, len(rows)):
-        states, X = _sector(lam.parts, n, d)
-        if states.size != s:
-            raise InconsistencyError(f"sector {lam.parts} holds {states.size} states, not {s}")
-        step = max(1, _BATCH // s**2)
-        for i in range(0, len(rows), step):
-            chunk = rows[i : i + step]
-            blocks = np.zeros((len(chunk), s, s))
-            for (row, col), w in zip(X, chunk.T):
-                blocks[:, row, col] += w[:, None, None]
-            yield orbit, states, blocks if W.ndim == 2 else blocks[0]
 
 
 def _ptrace_to(rho: np.ndarray, keep: tuple[int, ...], n: int, d: int) -> np.ndarray:
@@ -349,24 +350,26 @@ def full_vs_block_spectrum(dec: Decomposition, W: np.ndarray):
     """Certify the block decomposition along direction W, or along each row of a stack W.
 
     Diagonalizes sum_k W[r, k-2] V^{t_1}(1k) one representative charge sector
-    a colour orbit, one eigvalsh a yield of sector_blocks, each eigenvalue
-    counted `orbit` times.  The blocks predict those of sum_k W[r, k-2] B_{k-1}
-    in block alpha (one batched eigvalsh a block), counted r(alpha) =
-    s_alpha(1^d) times, and zero on the kept states left over.  max_abs_gap
-    compares the sorted spectra entry by entry, from their (value, count)
-    lists.  One SpectrumReport for W of shape (n - 1,), a list for (k, n - 1).
+    a colour orbit, each enumerated once and read by regions._stacked like a
+    block, each eigenvalue counted `orbit` times.  The blocks predict those of
+    sum_k W[r, k-2] B_{k-1} in block alpha, counted r(alpha) = s_alpha(1^d)
+    times, and zero on the kept states left over.  max_abs_gap compares the
+    sorted spectra entry by entry, from their (value, count) lists.  One
+    SpectrumReport for W of shape (n - 1,), a list for (k, n - 1).
     """
     n, d = dec.n, dec.d
     W = np.asarray(W, dtype=float)
     rows = _directions(W, n - 1)
 
-    spectra = []  # (orbit, eigenvalues along each row) a representative sector
-    for orbit, _, blocks in sector_blocks(rows, n, d):
-        if not spectra or len(spectra[-1][1]) == len(rows):
-            spectra.append((orbit, []))
-        spectra[-1][1].extend(np.linalg.eigvalsh(blocks))
+    orbits, spectra = [], []  # a representative sector's orbit, and its eigenvalues a row
+    for lam, orbit, s in charge_orbits(n, d, len(rows)):
+        sector = _sector(lam.parts, n, d)
+        if sector.dim != s:
+            raise InconsistencyError(f"sector {lam.parts} holds {sector.dim} states, not {s}")
+        orbits.append(orbit)
+        spectra.append(_stacked(sector, rows, np.linalg.eigvalsh))
     r = {b.alpha: b.alpha.unitary_dimension(d) for b in dec.blocks}
-    full_counts = np.repeat([orbit for orbit, _ in spectra], [len(e[0]) for _, e in spectra])
+    full_counts = np.repeat(orbits, [e.shape[1] for e in spectra])
     block_counts = np.repeat([r[b.alpha] for b in dec.blocks], [b.dim for b in dec.blocks])
     kept, held = int(full_counts.sum()), int(block_counts.sum())
     if held > kept:
@@ -375,8 +378,8 @@ def full_vs_block_spectrum(dec: Decomposition, W: np.ndarray):
     block_values = np.hstack([_stacked(b, rows, np.linalg.eigvalsh) for b in dec.blocks]
                              + [np.zeros((len(rows), 1))])
     reports = []
-    for w, values, predicted in zip(rows, np.hstack([e for _, e in spectra]), block_values):
+    for w, values, predicted in zip(rows, np.hstack(spectra), block_values):
         full = _spectrum(values, full_counts)
         gap = _max_gap(full, _spectrum(predicted, block_counts))
-        reports.append(SpectrumReport(w, full, r, gap, (len(spectra), sum(o for o, _ in spectra))))
+        reports.append(SpectrumReport(w, full, r, gap, (len(orbits), sum(orbits))))
     return reports if W.ndim == 2 else reports[0]

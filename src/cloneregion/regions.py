@@ -36,7 +36,7 @@ MAX_ROUNDS = 200
 # its offset by more than the floor of rounding error
 HULL_FACETS = 5000
 GAP_FLOOR = 1e-12
-# matrix entries that extreme_points stacks into one eigensolver call
+# matrix entries that _stacked forms for one solver call, for blocks and oracle sectors alike
 _BATCH = 2**20
 # HiGHS at its default 1e-7 feasibility tolerances returns duals too coarse
 # to settle verdicts at 1e-9.
@@ -156,7 +156,7 @@ def _directions(W: np.ndarray, N: int) -> np.ndarray:
 
 
 def _stacked(block: IrrepBlock, W: np.ndarray, solve) -> np.ndarray:
-    """solve(M) for M = sum_k W[r, k] B_k stacked over the rows r of W, _BATCH entries a call."""
+    """solve(block.combine(W[r])) on rows r of W, _BATCH entries a call; block or oracle.Sector."""
     step = max(1, _BATCH // block.dim**2)
     return np.concatenate([solve(block.combine(W[i : i + step])) for i in range(0, len(W), step)])
 

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from cloneregion import __version__, cli, decompose, regions
+from cloneregion import __version__, cli, decompose, oracle, regions
 from cloneregion.cli import SCHEMA_VERSION, build_parser, main
 
 
@@ -160,6 +160,36 @@ class TestCheck:
         monkeypatch.setattr(regions, "_BATCH", 1)  # one generator a chunk
         assert generator_rows() == rows
 
+    @pytest.mark.parametrize("n,d", [(3, 600), (4, 120)])
+    def test_passes_where_product_vectors_were_refused(self, capsys, n, d):
+        # the classical-clone row reads a charge sector, not the d^n entries of |i..i>
+        code, out, _ = run(capsys, "check", "--n", str(n), "--d", str(d))
+        assert code == 0
+        lines = [ln for ln in out.splitlines() if ln.startswith("[")]
+        assert lines and all(ln.startswith("[PASS]") for ln in lines)
+        assert f"{len(lines)}/{len(lines)} checks passed" in out
+
+    @pytest.mark.parametrize("n,d", [(3, 2), (5, 4)])
+    def test_classical_clone_row_reads_the_sector(self, capsys, monkeypatch, n, d):
+        # drop the entries of X_2 in column |0..0> of the sector of type (n - 2)
+        enumerate_sector = oracle._sector
+
+        def dropping(parts, n, d):
+            sector = enumerate_sector(parts, n, d)
+            if parts != (n - 2,):
+                return sector
+            (row, col), *rest = sector.entries
+            assert col[0, 0] == 0 and row[0, 0] == 0  # <0..0| X_2 |0..0> = 1
+            return oracle.Sector(sector.states, ((row[1:], col[1:]), *rest), d)
+
+        # check reads the sector through its own import of _sector, the spectrum through oracle's
+        monkeypatch.setattr(oracle, "_sector", dropping)
+        monkeypatch.setattr(cli, "_sector", dropping)
+        code, out, _ = run(capsys, "check", "--n", str(n), "--d", str(d))
+        assert code == 1
+        [row] = [ln for ln in out.splitlines() if "classical-clone point" in ln]
+        assert row.startswith("[FAIL]") and f"max dev {1 / d:.2e}" in row
+
     def test_past_the_old_cap(self, capsys):
         code, out, _ = run(capsys, "check", "--n", "8", "--d", "3")
         assert code == 0
@@ -263,10 +293,6 @@ class TestArgumentValidation:
             raise AssertionError("decompose ran before the refusal")
 
         monkeypatch.setattr(cli, "decompose", refuse)
-        # the largest sector, 4560 states, fits; the 40^6 entries of |i..i> do not
-        code, out, err = run(capsys, "check", "--n", "6", "--d", "40")
-        assert code == 2 and out == ""
-        assert "the product vectors of (C^40)^6 would need about 62501.0 MiB" in err
         # past the budget the oracle rows cannot run, so check refuses the size
         for n in (10, 11):
             start = time.perf_counter()
@@ -274,24 +300,6 @@ class TestArgumentValidation:
             assert time.perf_counter() - start < 1.0
             assert code == 2 and "charge sectors" in err and "memory budget" in err
             assert out == ""
-
-    def test_check_product_vector_cap(self, capsys):
-        # the oracle's sectors fit at (3, 600); the 600^3 entries of |i..i> do not
-        code, out, err = run(capsys, "check", "--n", "3", "--d", "600")
-        assert code == 2 and "product vectors" in err and "memory budget" in err
-        assert out == ""
-
-    def test_check_refuses_before_any_spectrum(self, capsys, monkeypatch, no_eigensolve):
-        # the oracle fits at (4, 120), the 120^4 entries of |i..i> do not
-        def refuse(*args, **kwargs):
-            raise AssertionError("a spectrum ran before the product-vector refusal")
-
-        monkeypatch.setattr(cli, "full_vs_block_spectrum", refuse)
-        start = time.perf_counter()
-        code, out, err = run(capsys, "check", "--n", "4", "--d", "120")
-        assert time.perf_counter() - start < 1.0
-        assert code == 2 and out == ""
-        assert "the product vectors of (C^120)^4" in err and "memory budget" in err
 
     def test_irreps_past_the_old_cap(self, capsys):
         code, out, _ = run(capsys, "irreps", "--n", "9", "--d", "2")

@@ -72,7 +72,7 @@ def run_under_address_limit(jobs, limit=ADDRESS_LIMIT):
 REFUSED = [
     ["region", "--n", "6", "--d", "6", "--samples", "100000000"],
     ["irreps", "--n", "1000", "--d", "2"],
-    ["check", "--n", "6", "--d", "40"],
+    ["check", "--n", "10", "--d", "4"],
 ]
 
 
@@ -155,7 +155,7 @@ SITES = [
     ("sector_blocks", (6, 8)),
     ("sector_blocks_stack", (5, 4)), ("sector_blocks_stack", (7, 4)),
     ("sector_blocks_stack", (8, 3)), ("sector_blocks_stack", (6, 8)),
-    ("sector_blocks_stack", (4, 60)),
+    ("sector_blocks_stack", (4, 60)), ("sector_blocks_stack", (3, 600)),
     ("haar_isometry", (8, 5)), ("haar_isometry", (4, 5)), ("haar_isometry", (2, 14)),
     ("region", (3, 2, "--samples", 2000)), ("region", (4, 3, "--samples", 2000)),
     ("region", (4, 3, "--samples", 2000, "--format", "csv")),

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from cloneregion.algebra import InconsistencyError, decompose
-from cloneregion import algebra, oracle
+from cloneregion import algebra, oracle, regions
 from cloneregion.regions import _stacked, support, symmetric_max
 from cloneregion.oracle import (
     ChannelSample,
+    charge_orbits,
     choi_state,
     clone_fidelity_from_singlet,
     full_vs_block_spectrum,
@@ -15,7 +16,6 @@ from cloneregion.oracle import (
     max_entangled,
     perm_operator,
     pt_transposition,
-    sector_blocks,
     singlet_fractions,
     singlet_from_clone_fidelity,
     special_states,
@@ -109,6 +109,16 @@ def _charges(n, d):
                      for c in range(d)], axis=1)
 
 
+def _sector_blocks(W, n, d):
+    """(orbit, states, matrices along each row of W) of each representative sector.
+
+    The matrices are formed as the oracle forms them, in regions._stacked's chunks.
+    """
+    for lam, orbit, _ in charge_orbits(n, d, len(W)):
+        sector = oracle._sector(lam.parts, n, d)
+        yield orbit, sector.states, _stacked(sector, W, lambda M: M)
+
+
 class TestSectorBlocks:
     @pytest.mark.parametrize("n,d", [(3, 2), (4, 3), (5, 2), (5, 4)])
     def test_blocks_restrict_dense_operator(self, n, d):
@@ -128,7 +138,7 @@ class TestSectorBlocks:
         # exactly zero between sectors and on the states no sector holds
         np.testing.assert_array_equal(dense[label[:, None] != label[None, :]], 0.0)
         np.testing.assert_array_equal(dense[label == -1], 0.0)
-        for _, I, B in sector_blocks(w, n, d):
+        for _, I, [B] in _sector_blocks(w[None], n, d):
             np.testing.assert_array_equal(B, dense[np.ix_(I, I)])
             assert np.all(charge[I] == charge[I[0]])
 
@@ -142,7 +152,7 @@ class TestSectorBlocks:
             return tuple(sorted(charge[state][charge[state] > 0], reverse=True))
 
         representative, repeated = {}, []
-        for orbit, I, B in sector_blocks(w, n, d):
+        for orbit, I, [B] in _sector_blocks(w[None], n, d):
             spectrum = np.linalg.eigvalsh(B)
             representative[kind(I[0])] = spectrum
             repeated.append(np.tile(spectrum, orbit))
@@ -154,11 +164,24 @@ class TestSectorBlocks:
         np.testing.assert_allclose(np.sort(np.concatenate(repeated)),
                                    np.sort(np.concatenate(reference)), rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize("n,d", [(3, 2), (4, 3), (5, 2), (5, 4)])
+    def test_fidelities_equal_vector_singlet_fractions(self, n, d):
+        # a sector's psi^T X_k psi / d is F_1k of psi embedded in (C^d)^{x n}
+        rng = np.random.Generator(np.random.PCG64(13 * n + d))
+        for lam, _, size in charge_orbits(n, d):
+            sector = oracle._sector(lam.parts, n, d)
+            psi = rng.normal(size=(4, size))
+            psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+            embedded = np.zeros((4, d**n))
+            embedded[:, sector.states] = psi
+            expected = [vector_singlet_fractions(v, n, d) for v in embedded]
+            np.testing.assert_allclose(sector.fidelities(psi), expected, rtol=0, atol=1e-14)
+
     def test_orbits_must_cover_the_kept_states(self, monkeypatch):
         # d (d^{n-1} - (d-1)^{n-1}) states have leg 1's colour on legs 2..n
         monkeypatch.setattr(oracle, "partitions_of", lambda m: list(partitions_of(m))[1:])
         with pytest.raises(InconsistencyError, match="cover 648 states, not 700"):
-            next(sector_blocks(np.ones(4), 5, 4))
+            charge_orbits(5, 4)
 
     def test_cap_raises_before_any_eigensolve(self, monkeypatch):
         def no_eigensolve(*args, **kwargs):
@@ -168,7 +191,7 @@ class TestSectorBlocks:
         monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
         # the index arrays fit; one block of the largest sector, C(18, 9), does not
         with pytest.raises(ValueError, match="size 48620 would need about .* memory budget"):
-            next(sector_blocks(np.ones(17), 18, 2))
+            charge_orbits(18, 2)
         monkeypatch.setattr(algebra, "MEMORY_BUDGET", 2**16)
         with pytest.raises(ValueError, match="memory budget of 0.0625 MiB"):
             full_vs_block_spectrum(dec, np.ones(4))
@@ -180,8 +203,8 @@ class TestStackedDirections:
     @pytest.mark.parametrize("chunked", [False, True], ids=["one-yield", "row-a-yield"])
     @pytest.mark.parametrize("n,d", [(3, 2), (4, 3), (5, 4), (6, 3), (7, 4)])
     def test_stack_equals_single_calls(self, monkeypatch, n, d, chunked):
-        if chunked:  # a sector then yields once for each row of the stack
-            monkeypatch.setattr(oracle, "_BATCH", 1)
+        if chunked:  # a sector is then combined once for each row of the stack
+            monkeypatch.setattr(regions, "_BATCH", 1)
         dec = decompose(n, d)
         W = np.random.Generator(np.random.PCG64(3 * n + d)).normal(size=(5, n - 1))
         reports = full_vs_block_spectrum(dec, W)
@@ -196,15 +219,11 @@ class TestStackedDirections:
 
     @pytest.mark.parametrize("n,d", [(5, 4), (6, 8)])
     def test_stacked_blocks_equal_single_blocks(self, monkeypatch, n, d):
-        # sectors of 34 and 36 states then yield 2, 2 and 1 rows
-        monkeypatch.setattr(oracle, "_BATCH", 2 * 36**2)
+        # sectors of 34 and 36 states are then combined 2, 2 and 1 rows at a time
+        monkeypatch.setattr(regions, "_BATCH", 2 * 36**2)
         W = np.random.Generator(np.random.PCG64(n * d)).normal(size=(5, n - 1))
-        singles = [list(sector_blocks(w, n, d)) for w in W]
-        seen = []
-        for orbit, I, blocks in sector_blocks(W, n, d):
-            if not seen or seen[-1][1] is not I:
-                seen.append((orbit, I, []))
-            seen[-1][2].extend(blocks)
+        singles = [[(orbit, I, B) for orbit, I, [B] in _sector_blocks(w[None], n, d)] for w in W]
+        seen = list(_sector_blocks(W, n, d))
         assert len(seen) == len(singles[0])
         for j, (orbit, I, blocks) in enumerate(seen):
             assert len(blocks) == 5
@@ -216,7 +235,7 @@ class TestStackedDirections:
     @pytest.mark.parametrize("batch", [None, 1], ids=["one-yield", "row-a-yield"])
     def test_each_sector_enumerated_once(self, monkeypatch, batch):
         if batch is not None:
-            monkeypatch.setattr(oracle, "_BATCH", batch)
+            monkeypatch.setattr(regions, "_BATCH", batch)
         n, d = 6, 8
         dec = decompose(n, d)
         enumerated = []
@@ -231,6 +250,27 @@ class TestStackedDirections:
         reports = full_vs_block_spectrum(dec, W)
         assert [rep.sectors for rep in reports] == [(5, 330)] * 5
         assert sorted(enumerated) == sorted(lam.parts for lam in partitions_of(n - 2))
+
+    def test_one_batch_chunks_sectors_and_blocks(self, monkeypatch):
+        # regions._BATCH alone sets the chunks: at 1, each sector is combined once a row
+        n, d = 5, 4
+        dec = decompose(n, d)
+        calls = []
+        combine = oracle.Sector.combine
+
+        def counting(sector, W):
+            calls.append((sector.dim, len(W)))
+            return combine(sector, W)
+
+        monkeypatch.setattr(oracle.Sector, "combine", counting)
+        W = np.random.Generator(np.random.PCG64(54)).normal(size=(5, n - 1))
+        sizes = [size for _, _, size in charge_orbits(n, d)]
+        full_vs_block_spectrum(dec, W)
+        assert calls == [(size, 5) for size in sizes]
+        calls.clear()
+        monkeypatch.setattr(regions, "_BATCH", 1)
+        full_vs_block_spectrum(dec, W)
+        assert calls == [(size, 1) for size in sizes for _ in range(5)]
 
     def test_rejects_malformed_stacks(self):
         dec = decompose(4, 3)
@@ -248,7 +288,7 @@ class TestSupportVsFullSpectrum:
         rng = np.random.Generator(np.random.PCG64(11 * n + d))
         for _ in range(20):
             w = rng.normal(size=n - 1)
-            top = max(np.linalg.eigvalsh(block).max() for _, _, block in sector_blocks(w, n, d))
+            top = max(np.linalg.eigvalsh(B).max() for _, _, [B] in _sector_blocks(w[None], n, d))
             assert support(dec, w) == pytest.approx(max(0.0, top) / d, abs=1e-12)
 
     @pytest.mark.parametrize("n,d", [(3, 2), (3, 3), (3, 4), (3, 5), (4, 2), (4, 3), (4, 4),
