@@ -60,7 +60,7 @@ def _admissible(n: int, d: int, m: int) -> Iterator[Partition]:
         raise ValueError(f"need n >= 3 (at least two clones plus reference), got {n}")
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
-    return (a for a in partitions_of(m) if a.height <= d)
+    return partitions_of(m, d)
 
 
 def admissible_M_irreps(n: int, d: int) -> list[Partition]:

@@ -46,7 +46,7 @@ from .oracle import (
 )
 from .regions import (
     MembershipOracle,
-    _stacked,
+    _chunks,
     build_hull,
     extreme_points,
     sample_region,
@@ -164,10 +164,10 @@ def run_checks(n: int, d: int, seed: int = 0) -> list[tuple[str, bool, str]]:
     """Full certification suite for one (n, d); returns (name, ok, detail) rows.
 
     The oracle's memory prediction (five directions) comes first, so a refused
-    size builds no block.  Generator rows read each block's combinations along
-    the identity, in regions._stacked's chunks.  One full_vs_block_spectrum
-    call and one support call certify five random directions, one (5, n - 1)
-    draw: the numbers of five draws of size n - 1.  The classical-clone row
+    size builds no block.  Generator rows read each block's generators
+    directly, in regions._chunks.  One full_vs_block_spectrum call and one
+    support call certify five random directions, one (5, n - 1) draw: the
+    numbers of five draws of size n - 1.  The classical-clone row
     reads the X_k of the charge sector of type (n - 2).
     """
     results = []
@@ -181,10 +181,10 @@ def run_checks(n: int, d: int, seed: int = 0) -> list[tuple[str, bool, str]]:
         tag = f"alpha={block.alpha.parts}"
 
         def deviations(C):  # max |B^2 - d B|, |B - B^T| and |tr B - d dim_phi| over the B in C
-            return [[np.max(np.abs(C @ C - d * C)), np.max(np.abs(C - C.transpose(0, 2, 1))),
-                     np.max(np.abs(np.trace(C, axis1=1, axis2=2) - d * block.dim_phi))]]
+            return [np.max(np.abs(C @ C - d * C)), np.max(np.abs(C - C.transpose(0, 2, 1))),
+                    np.max(np.abs(np.trace(C, axis1=1, axis2=2) - d * block.dim_phi))]
 
-        devs = np.max(_stacked(block, np.eye(n - 1), deviations), axis=0)
+        devs = np.max([deviations(block.generators[c]) for c in _chunks(block, n - 1)], axis=0)
         worst_rel, worst_sym, worst_tr = map(float, devs)
         add(f"{tag}: B^2 = d B", worst_rel < 1e-10, f"max dev {worst_rel:.2e}")
         add(f"{tag}: B symmetric", worst_sym < 1e-10, f"max dev {worst_sym:.2e}")

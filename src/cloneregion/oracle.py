@@ -158,28 +158,29 @@ def charge_orbits(n: int, d: int, directions: int = 1) -> list[tuple]:
     One sector (_sector) therefore stands for each multiplicity type lambda of
     q, a partition of n - 2 with at most d parts, whose orbit holds
     d! / ((d - l(lambda))! prod_j m_j!) sectors (m_j parts equal to j) of
-    `size` states.  ValueError when the largest sector's regions._stacked
-    along `directions` rows would pass the memory budget, the one prediction
-    that bounds the oracle; regions._BATCH is read at call time.
+    `size` states.  The types come lazily from partitions_of(n - 2, d), and
+    each sector's regions._stacked along `directions` rows is predicted as it
+    comes, the one prediction that bounds the oracle: ValueError, naming type
+    and size, at the first past the memory budget (larger ones may follow).
+    regions._BATCH is read at call time.
     """
-    types = [lam for lam in partitions_of(n - 2) if lam.height <= d]
-    orbits = [math.perm(d, lam.height)
-              // math.prod(map(math.factorial, Counter(lam.parts).values())) for lam in types]
-    # the arrangements of q + {c}, summed over c: m = (n-1)!/prod_j lambda_j! for c not in q
-    ways = [math.factorial(n - 1) // math.prod(map(math.factorial, lam.parts)) for lam in types]
-    sizes = [sum(m // (p + 1) for p in lam.parts) + (d - lam.height) * m
-             for lam, m in zip(types, ways)]
     kept = d * (d ** (n - 1) - (d - 1) ** (n - 1))  # the states with leg 1's colour on legs 2..n
-    covered = sum(map(math.prod, zip(orbits, sizes)))
-    if covered != kept:
+    out = []
+    for lam in partitions_of(n - 2, d):
+        repeats = math.prod(map(math.factorial, Counter(lam.parts).values()))
+        # the arrangements of q + {c}, summed over c: m = (n-1)!/prod_j lambda_j! for c not in q
+        m = math.factorial(n - 1) // math.prod(map(math.factorial, lam.parts))
+        size = sum(m // (p + 1) for p in lam.parts) + (d - lam.height) * m
+        # the matrices of one chunk, eigvalsh's copy and its workspace; the
+        # enumeration, and the entries of the n - 1 X_k
+        entries = min(directions * size**2, max(size**2, regions._BATCH))
+        require_memory(24 * entries + 8 * size * (8 * (n + d) + (n - 1) * (d + 1)) + 2**20,
+                       f"the charge sectors of (C^{d})^{n}, at the sector of type {lam.parts} "
+                       f"and size {size} (larger ones may follow),")
+        out.append((lam, math.perm(d, lam.height) // repeats, size))
+    if (covered := sum(orbit * size for _, orbit, size in out)) != kept:
         raise InconsistencyError(f"the charge orbits cover {covered} states, not {kept}")
-    # the matrices of one chunk, eigvalsh's copy and its workspace; the
-    # enumeration, and the entries of the n - 1 X_k
-    s_max = max(sizes)
-    entries = min(directions * s_max**2, max(s_max**2, regions._BATCH))
-    require_memory(24 * entries + 8 * s_max * (8 * (n + d) + (n - 1) * (d + 1)) + 2**20,
-                   f"the charge sectors of (C^{d})^{n} up to size {s_max}")
-    return list(zip(types, orbits, sizes))
+    return out
 
 
 def _ptrace_to(rho: np.ndarray, keep: tuple[int, ...], n: int, d: int) -> np.ndarray:

@@ -155,10 +155,15 @@ def _directions(W: np.ndarray, N: int) -> np.ndarray:
     return W.reshape(-1, N)
 
 
-def _stacked(block: IrrepBlock, W: np.ndarray, solve) -> np.ndarray:
-    """solve(block.combine(W[r])) on rows r of W, _BATCH entries a call; block or oracle.Sector."""
+def _chunks(block: IrrepBlock, count: int) -> list[slice]:
+    """range(count) in consecutive slices of as many rows as _BATCH entries hold, at least one."""
     step = max(1, _BATCH // block.dim**2)
-    return np.concatenate([solve(block.combine(W[i : i + step])) for i in range(0, len(W), step)])
+    return [slice(i, i + step) for i in range(0, count, step)]
+
+
+def _stacked(block: IrrepBlock, W: np.ndarray, solve) -> np.ndarray:
+    """solve(block.combine(W[r])) on rows r of W, a _chunks slice a call; block or Sector."""
+    return np.concatenate([solve(block.combine(W[rows])) for rows in _chunks(block, len(W))])
 
 
 def _top(block: IrrepBlock, W: np.ndarray) -> np.ndarray:
@@ -187,12 +192,6 @@ def extreme_points(dec: Decomposition, W: np.ndarray):
             psi = _stacked(block, W[rows], lambda M: np.linalg.eigh(M)[1][:, :, -1])
             X[rows] = block.fidelities(psi)
     return X, np.maximum(h, 0.0) / dec.d, source
-
-
-def extreme_point(dec: Decomposition, w: np.ndarray) -> tuple[np.ndarray, float]:
-    """A point x of the region with <w, x> = h(w), and h(w): extreme_points for one w."""
-    X, h, _ = extreme_points(dec, w)
-    return X[0], float(h[0])
 
 
 def _seed_directions(N: int) -> np.ndarray:
@@ -323,7 +322,7 @@ def _generate(dec, points, master, direction, bound, settle, lower=-np.inf, cent
         # column cuts off nothing; without the fallback boundary points stall
         for trial in [y] if center is None else [(center + y) / 2, y]:
             w = direction(trial)
-            x, h = extreme_point(dec, w)
+            (x,), (h,), _ = extreme_points(dec, w)
             points = np.vstack([points, x])
             value, smoothed = bound(trial, h)
             if value > lower:
@@ -406,14 +405,6 @@ class MembershipOracle:
     def classify(self, p: np.ndarray, tol: float = 1e-9) -> str:
         """The verdict of certify: inside, boundary or outside by g(p) to within tol."""
         return self.certify(p, tol).verdict
-
-
-def membership(dec: Decomposition, p: np.ndarray, tol: float = 1e-9) -> str:
-    """Classify a fidelity vector as inside / boundary / outside.
-
-    tol applies to the gauge g(p) of MembershipOracle: "boundary" means |g(p) - 1| <= tol.
-    """
-    return MembershipOracle(dec).classify(p, tol)
 
 
 def constrained_max(

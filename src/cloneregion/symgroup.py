@@ -74,20 +74,26 @@ class Partition:
         return f"Partition{self.parts}"
 
 
-def _rev_lex(m: int, cap: int):
+def _rev_lex(m: int, cap: int, parts: int):
     if m == 0:
         yield ()
         return
     for first in range(min(m, cap), 0, -1):
-        for rest in _rev_lex(m - first, first):
+        if first * parts < m:  # `parts` parts of at most `first` fall short, so smaller ones do
+            return
+        for rest in _rev_lex(m - first, first, parts - 1):
             yield (first,) + rest
 
 
-def partitions_of(m: int) -> Iterator[Partition]:
-    """The partitions of m in reverse-lexicographic (canonical) order, lazily."""
+def partitions_of(m: int, max_parts: int | None = None) -> Iterator[Partition]:
+    """The partitions of m in reverse-lexicographic (canonical) order, lazily.
+
+    Only those of at most max_parts parts if given: the walk enters no branch
+    that cannot fill m in that many, so its cost follows what it yields.
+    """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    return map(Partition, _rev_lex(m, m))
+    return map(Partition, _rev_lex(m, m, m if max_parts is None else max_parts))
 
 
 def branch_up(alpha: Partition) -> list[Partition]:

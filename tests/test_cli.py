@@ -2,7 +2,11 @@ import argparse
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -300,6 +304,22 @@ class TestArgumentValidation:
             assert time.perf_counter() - start < 1.0
             assert code == 2 and "charge sectors" in err and "memory budget" in err
             assert out == ""
+
+    @pytest.mark.parametrize("n,d", [(70, 2), (100, 2), (60, 60), (100, 100)])
+    def test_check_refuses_large_n_at_its_first_oversized_sector(self, n, d):
+        # a CLI child with decompose patched to raise: the refusal builds no block and
+        # enumerates the sectors up to the first one past the budget, not every type
+        child = ("import sys\nfrom cloneregion import cli\n"
+                 "def refuse(*args, **kwargs):\n    raise AssertionError('decompose ran')\n"
+                 "cli.decompose = refuse\nsys.exit(cli.main(sys.argv[1:]))")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", child, "check", "--n", str(n), "--d", str(d)],
+                              capture_output=True, text=True, env=env, timeout=5)
+        assert proc.returncode == 2 and proc.stdout == "", proc.stderr[-2000:]
+        assert "charge sectors" in proc.stderr and "at the sector of type" in proc.stderr
+        assert "larger ones may follow" in proc.stderr and "memory budget" in proc.stderr
 
     def test_irreps_past_the_old_cap(self, capsys):
         code, out, _ = run(capsys, "irreps", "--n", "9", "--d", "2")

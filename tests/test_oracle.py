@@ -179,7 +179,7 @@ class TestSectorBlocks:
 
     def test_orbits_must_cover_the_kept_states(self, monkeypatch):
         # d (d^{n-1} - (d-1)^{n-1}) states have leg 1's colour on legs 2..n
-        monkeypatch.setattr(oracle, "partitions_of", lambda m: list(partitions_of(m))[1:])
+        monkeypatch.setattr(oracle, "partitions_of", lambda m, k: list(partitions_of(m, k))[1:])
         with pytest.raises(InconsistencyError, match="cover 648 states, not 700"):
             charge_orbits(5, 4)
 
@@ -189,8 +189,10 @@ class TestSectorBlocks:
 
         dec = decompose(5, 4)
         monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
-        # the index arrays fit; one block of the largest sector, C(18, 9), does not
-        with pytest.raises(ValueError, match="size 48620 would need about .* memory budget"):
+        # the index arrays fit; one block of the first sector past the budget does
+        # not, and the enumeration stops there, short of the largest, C(18, 9) = 48620
+        with pytest.raises(ValueError, match=r"type \(11, 5\) and size 18564 \(larger ones may "
+                                             r"follow\), would need about .* memory budget"):
             charge_orbits(18, 2)
         monkeypatch.setattr(algebra, "MEMORY_BUDGET", 2**16)
         with pytest.raises(ValueError, match="memory budget of 0.0625 MiB"):

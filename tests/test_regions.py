@@ -11,10 +11,8 @@ from cloneregion.regions import (
     block_support,
     build_hull,
     constrained_max,
-    extreme_point,
     extreme_points,
     fidelity_vector,
-    membership,
     sample_block_region,
     support,
     symmetric_max,
@@ -223,7 +221,7 @@ class TestOneToTwoCloners:
         # satisfy F_1 + F_2 - (2/d) sqrt(F_1 F_2) = 1 - 1/d^2
         dec = decompose(3, d)
         for t in np.linspace(0.0, np.pi / 2, 52)[1:-1]:
-            (F1, F2), _ = extreme_point(dec, np.array([np.cos(t), np.sin(t)]))
+            ((F1, F2),), _, _ = extreme_points(dec, np.array([np.cos(t), np.sin(t)]))
             assert F1 + F2 - (2 / d) * np.sqrt(F1 * F2) == pytest.approx(1 - 1 / d**2, abs=1e-12)
 
 
@@ -349,7 +347,7 @@ class TestCertificateSelfCheck:
     def test_doctored_master_raises(self, monkeypatch, field, factor, message):
         # the extreme point along (1, ..., 1) has gauge 1, and its seed cut says so
         dec = decompose(4, 2)
-        x, _ = extreme_point(dec, np.ones(dec.clone_count))
+        (x,), _, _ = extreme_points(dec, np.ones(dec.clone_count))
         assert MembershipOracle(dec).classify(x) == "boundary"
         solve = regions._solve_master
 
@@ -372,7 +370,7 @@ class TestExtremePoints:
         X, h, source = extreme_points(dec, W)
         assert len(set(source.tolist())) > 1
         for w, x, top in zip(W, X, h):
-            x1, h1 = extreme_point(dec, w)
+            (x1,), (h1,), _ = extreme_points(dec, w)
             np.testing.assert_allclose(x, x1, rtol=0, atol=1e-12)
             assert top == pytest.approx(h1, abs=1e-12)
             assert w @ x == pytest.approx(top, abs=1e-12)
@@ -389,7 +387,7 @@ class TestMembership:
     def test_n_point_inside_or_boundary(self, d):
         dec = decompose(3, d)
         # the N-point is the origin, on the boundary: h(-1, -1) = 0
-        assert membership(dec, np.zeros(2), tol=1e-9) == "boundary"
+        assert MembershipOracle(dec).classify(np.zeros(2), tol=1e-9) == "boundary"
 
     def test_sampled_points_contained(self, dec32):
         oracle = MembershipOracle(dec32)
@@ -398,8 +396,8 @@ class TestMembership:
             assert oracle.classify(p, tol=1e-9) in ("inside", "boundary")
 
     def test_works_without_hull(self, dec32):
-        assert membership(dec32, np.array([0.9, 0.9]), tol=1e-6) == "outside"
-        assert membership(dec32, np.array([0.5, 0.5]), tol=1e-6) == "inside"
+        assert MembershipOracle(dec32).classify(np.array([0.9, 0.9]), tol=1e-6) == "outside"
+        assert MembershipOracle(dec32).classify(np.array([0.5, 0.5]), tol=1e-6) == "inside"
 
     @pytest.mark.parametrize("n", [5, 6])
     @pytest.mark.parametrize(
@@ -440,7 +438,7 @@ class TestPerQueryColumns:
         rng = np.random.Generator(np.random.PCG64(42))
         for w in rng.normal(size=(10, N)):
             columns.clear()
-            x, _ = extreme_point(dec, w)
+            (x,), _, _ = extreme_points(dec, w)
             assert oracle.classify(x) == "boundary"
             # a master call prices at most two columns before the next one
             for k, count in enumerate(columns):
@@ -466,7 +464,7 @@ class TestCertificates:
         rng = np.random.Generator(np.random.PCG64(n * 10 + d))
         for _ in range(10):
             w = rng.normal(size=n - 1)
-            x, _ = extreme_point(dec, w)
+            (x,), _, _ = extreme_points(dec, w)
             p = x + 1e-3 * w / np.linalg.norm(w)
             cert = oracle.certify(p)
             assert cert.verdict == "outside"
@@ -479,7 +477,7 @@ class TestCertificates:
         rng = np.random.Generator(np.random.PCG64(n * 10 + d))
         probes = rng.normal(size=(50, n - 1))
         for _ in range(10):
-            xs = [extreme_point(dec, w)[0] for w in rng.normal(size=(3, n - 1))]
+            xs = [extreme_points(dec, w)[0][0] for w in rng.normal(size=(3, n - 1))]
             p = 0.9 * np.mean(xs, axis=0) + 0.1 * oracle.center
             cert = oracle.certify(p)
             assert cert.verdict == "inside"

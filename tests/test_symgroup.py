@@ -72,6 +72,12 @@ class TestPartitionsOf:
             assert len(set(ps)) == len(ps)
             assert ps == sorted(ps, reverse=True)
 
+    def test_max_parts_filters_by_height_in_order(self):
+        for m in range(1, 19):
+            every = list(partitions_of(m))
+            for k in range(1, m + 2):
+                assert list(partitions_of(m, k)) == [p for p in every if p.height <= k]
+
     def test_invalid(self):
         with pytest.raises(ValueError):
             partitions_of(0)
