@@ -163,19 +163,19 @@ def cmd_hull(args) -> int:
 def run_checks(n: int, d: int, seed: int = 0) -> list[tuple[str, bool, str]]:
     """Full certification suite for one (n, d); returns (name, ok, detail) rows.
 
-    The oracle's memory prediction (five directions) comes first, so a refused
+    The oracle's memory prediction (charge_orbits) comes first, so a refused
     size builds no block.  Generator rows read each block's generators
-    directly, in regions._chunks.  One full_vs_block_spectrum call and one
-    support call certify five random directions, one (5, n - 1) draw: the
-    numbers of five draws of size n - 1.  The classical-clone row
-    reads the X_k of the charge sector of type (n - 2).
+    directly, in regions._chunks, the chunks that prediction prices.  One
+    full_vs_block_spectrum call and one support call certify five random
+    directions, one (5, n - 1) draw: the numbers of five draws of size n - 1.
+    The classical-clone row reads the X_k of the charge sector of type (n - 2).
     """
     results = []
 
     def add(name, ok, detail=""):
         results.append((name, bool(ok), detail))
 
-    charge_orbits(n, d, 5)  # refuse before any block is built, as the oracle would
+    charge_orbits(n, d)  # refuse before any block is built, as the oracle would
     dec = decompose(n, d)
     for block in dec.blocks:
         tag = f"alpha={block.alpha.parts}"
@@ -291,7 +291,7 @@ def cmd_convert(args) -> int:
 
 # flags beyond --n --d --out, added only to the commands that use them
 _OWN_FLAGS = {
-    "tol": dict(type=float, default=1e-9, help="membership tolerance"),
+    "tol": dict(type=float, default=1e-9, help="membership tolerance, 0 < tol < 1"),
     "samples": dict(type=int, default=10**4,
                     help="sample count k (region: a 3-dim block gets na*(k//na), na = round(sqrt(k/2)))"),
     "seed": dict(type=int, default=0, help="base RNG seed"),
@@ -343,16 +343,14 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         if getattr(args, "n", 3) < 3 or getattr(args, "d", 2) < 2:
-            raise SystemExit("error: need n >= 3 and d >= 2")
-        if getattr(args, "samples", 1) < 1 or getattr(args, "tol", 1.0) <= 0:
-            raise SystemExit("error: need samples >= 1 and tol > 0")
+            raise ValueError("need n >= 3 and d >= 2")
+        # the gauge g is >= 0, so no point is inside once 1 - tol <= 0; NaN fails both
+        if getattr(args, "samples", 1) < 1 or not 0 < getattr(args, "tol", 0.5) < 1:
+            raise ValueError("need samples >= 1 and 0 < tol < 1")
         return args.func(args)
-    except SystemExit as exc:  # argparse's exit status, or a usage error message
-        if isinstance(exc.code, str):
-            print(exc.code, file=sys.stderr)
-            return 2
+    except SystemExit as exc:  # argparse's exit status
         return exc.code
-    except (ValueError, InconsistencyError) as exc:
+    except (ValueError, InconsistencyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

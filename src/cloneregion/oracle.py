@@ -27,9 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.random  # NumPy 2 loads it lazily; load it with the package, not on first draw
 
-from . import regions
 from .algebra import Decomposition, InconsistencyError, require_memory
-from .regions import _directions, _stacked
+from .regions import _chunk_rows, _directions, _stacked
 from .symgroup import Permutation, partitions_of
 
 
@@ -145,7 +144,7 @@ def _sector(parts: tuple[int, ...], n: int, d: int) -> Sector:
     return Sector(states, tuple(entries), d)
 
 
-def charge_orbits(n: int, d: int, directions: int = 1) -> list[tuple]:
+def charge_orbits(n: int, d: int) -> list[tuple]:
     """(lambda, orbit, size) of the representative charge sector of each type lambda.
 
     X_k = V^{t_1}(1k) sends |i> with i_1 = i_k to sum_a |i with legs 1 and k
@@ -159,10 +158,10 @@ def charge_orbits(n: int, d: int, directions: int = 1) -> list[tuple]:
     q, a partition of n - 2 with at most d parts, whose orbit holds
     d! / ((d - l(lambda))! prod_j m_j!) sectors (m_j parts equal to j) of
     `size` states.  The types come lazily from partitions_of(n - 2, d), and
-    each sector's regions._stacked along `directions` rows is predicted as it
-    comes, the one prediction that bounds the oracle: ValueError, naming type
-    and size, at the first past the memory budget (larger ones may follow).
-    regions._BATCH is read at call time.
+    each sector is priced as it comes at the largest chunk regions._stacked
+    forms for it, regions._chunk_rows(size) matrices, whatever the number of
+    directions: the one prediction that bounds the oracle.  ValueError, naming
+    type and size, at the first past the memory budget (larger ones may follow).
     """
     kept = d * (d ** (n - 1) - (d - 1) ** (n - 1))  # the states with leg 1's colour on legs 2..n
     out = []
@@ -173,8 +172,8 @@ def charge_orbits(n: int, d: int, directions: int = 1) -> list[tuple]:
         size = sum(m // (p + 1) for p in lam.parts) + (d - lam.height) * m
         # the matrices of one chunk, eigvalsh's copy and its workspace; the
         # enumeration, and the entries of the n - 1 X_k
-        entries = min(directions * size**2, max(size**2, regions._BATCH))
-        require_memory(24 * entries + 8 * size * (8 * (n + d) + (n - 1) * (d + 1)) + 2**20,
+        require_memory(24 * _chunk_rows(size) * size**2
+                       + 8 * size * (8 * (n + d) + (n - 1) * (d + 1)) + 2**20,
                        f"the charge sectors of (C^{d})^{n}, at the sector of type {lam.parts} "
                        f"and size {size} (larger ones may follow),")
         out.append((lam, math.perm(d, lam.height) // repeats, size))
@@ -351,8 +350,9 @@ def full_vs_block_spectrum(dec: Decomposition, W: np.ndarray):
     """Certify the block decomposition along direction W, or along each row of a stack W.
 
     Diagonalizes sum_k W[r, k-2] V^{t_1}(1k) one representative charge sector
-    a colour orbit, each enumerated once and read by regions._stacked like a
-    block, each eigenvalue counted `orbit` times.  The blocks predict those of
+    a colour orbit, each priced by charge_orbits whatever the number of rows,
+    enumerated once and read by regions._stacked like a block, each
+    eigenvalue counted `orbit` times.  The blocks predict those of
     sum_k W[r, k-2] B_{k-1} in block alpha, counted r(alpha) = s_alpha(1^d)
     times, and zero on the kept states left over.  max_abs_gap compares the
     sorted spectra entry by entry, from their (value, count) lists.  One
@@ -363,7 +363,7 @@ def full_vs_block_spectrum(dec: Decomposition, W: np.ndarray):
     rows = _directions(W, n - 1)
 
     orbits, spectra = [], []  # a representative sector's orbit, and its eigenvalues a row
-    for lam, orbit, s in charge_orbits(n, d, len(rows)):
+    for lam, orbit, s in charge_orbits(n, d):
         sector = _sector(lam.parts, n, d)
         if sector.dim != s:
             raise InconsistencyError(f"sector {lam.parts} holds {sector.dim} states, not {s}")

@@ -36,7 +36,8 @@ MAX_ROUNDS = 200
 # its offset by more than the floor of rounding error
 HULL_FACETS = 5000
 GAP_FLOOR = 1e-12
-# matrix entries that _stacked forms for one solver call, for blocks and oracle sectors alike
+# matrix entries that _stacked forms for one solver call (_chunk_rows), for blocks and oracle
+# sectors alike; it sets every chunk and the oracle's price of one
 _BATCH = 2**20
 # HiGHS at its default 1e-7 feasibility tolerances returns duals too coarse
 # to settle verdicts at 1e-9.
@@ -155,9 +156,14 @@ def _directions(W: np.ndarray, N: int) -> np.ndarray:
     return W.reshape(-1, N)
 
 
+def _chunk_rows(dim: int) -> int:
+    """Rows a _stacked chunk holds at dimension dim: as many as _BATCH entries fit, at least one."""
+    return max(1, _BATCH // dim**2)
+
+
 def _chunks(block: IrrepBlock, count: int) -> list[slice]:
-    """range(count) in consecutive slices of as many rows as _BATCH entries hold, at least one."""
-    step = max(1, _BATCH // block.dim**2)
+    """range(count) in consecutive slices of _chunk_rows(block.dim) rows."""
+    step = _chunk_rows(block.dim)
     return [slice(i, i + step) for i in range(0, count, step)]
 
 

@@ -269,6 +269,14 @@ class TestArgumentValidation:
         code, _, _ = run(capsys, "channels", "--n", "3", "--d", "2", "--tol", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "1", "1.5"])
+    def test_tol_must_lie_between_0_and_1(self, capsys, tol):
+        # the gauge is >= 0, so at tol >= 1 no channel could read inside
+        code, out, err = run(capsys, "channels", "--n", "3", "--d", "2", "--samples", "2",
+                             "--tol", tol)
+        assert code == 2 and out == ""
+        assert err == "error: need samples >= 1 and 0 < tol < 1\n"
+
     @pytest.fixture
     def no_eigensolve(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -346,6 +354,18 @@ class TestOutputFiles:
         capsys.readouterr()
         assert path.exists()
         assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
+
+    @pytest.mark.parametrize("target", ["missing/dec.json", "existing"],
+                             ids=["missing-directory", "names-a-directory"])
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, target):
+        (tmp_path / "existing").mkdir()
+        code, out, err = run(capsys, "irreps", "--n", "3", "--d", "2",
+                             "--out", str(tmp_path / target))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert not list(tmp_path.rglob(".cloneregion-*"))
+        assert [p.name for p in tmp_path.iterdir()] == ["existing"]
+        assert not list((tmp_path / "existing").iterdir())
 
 
 class TestEveryFlagIsUsed:

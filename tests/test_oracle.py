@@ -114,7 +114,7 @@ def _sector_blocks(W, n, d):
 
     The matrices are formed as the oracle forms them, in regions._stacked's chunks.
     """
-    for lam, orbit, _ in charge_orbits(n, d, len(W)):
+    for lam, orbit, _ in charge_orbits(n, d):
         sector = oracle._sector(lam.parts, n, d)
         yield orbit, sector.states, _stacked(sector, W, lambda M: M)
 
@@ -273,6 +273,35 @@ class TestStackedDirections:
         monkeypatch.setattr(regions, "_BATCH", 1)
         full_vs_block_spectrum(dec, W)
         assert calls == [(size, 1) for size in sizes for _ in range(5)]
+
+    @pytest.mark.parametrize("batch", [1, 2 * 36**2, None], ids=["1", "2x36^2", "default"])
+    @pytest.mark.parametrize("n,d", [(5, 4), (6, 8), (4, 60)])
+    def test_price_bounds_every_chunk(self, monkeypatch, n, d, batch):
+        # charge_orbits prices each sector at the largest chunk _stacked forms for
+        # it, whatever the number of directions
+        if batch is not None:
+            monkeypatch.setattr(regions, "_BATCH", batch)
+        calls = []
+        monkeypatch.setattr(oracle, "require_memory", lambda nbytes, what: calls.append(nbytes))
+        sizes = [size for _, _, size in charge_orbits(n, d)]
+        priced = {size: regions._chunk_rows(size) * size**2 for size in sizes}
+        predicted = dict(zip(sizes, calls))
+        chunks = {}
+        combine = oracle.Sector.combine
+
+        def recording(sector, W):
+            chunks.setdefault(sector.dim, []).append(len(W) * sector.dim**2)
+            return combine(sector, W)
+
+        monkeypatch.setattr(oracle.Sector, "combine", recording)
+        dec = decompose(n, d)
+        rng = np.random.Generator(np.random.PCG64(n + d))
+        for count in (1, 5, 40):
+            full_vs_block_spectrum(dec, rng.normal(size=(count, n - 1)))
+        assert sorted(chunks) == sorted(set(sizes))
+        for size, entries in chunks.items():
+            assert max(entries) <= priced[size]
+            assert 24 * max(entries) < predicted[size]  # the chunk, its copy and workspace
 
     def test_rejects_malformed_stacks(self):
         dec = decompose(4, 3)
