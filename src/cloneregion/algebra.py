@@ -26,11 +26,17 @@ the closed form: stacking the Y_a (coset m twisted by phi(s_1) for n >= 4,
 as in build_Q) gives Y Y^T = Q(alpha), and sum_a B_a = diag(d + c(nu/alpha)).
 So Y is a factor of Q whose columns span its eigenspaces with the exact
 eigenvalues, in the canonical Young basis at every n.
+
+A block keeps what the certificate reads: the labels, the Gram residual and
+the factors, about dim phi/dim of the generators' bytes.  The generators B_a
+are formed from the factors on first read and kept; the symmetric optimum
+reads the labels alone and forms none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional
 
 import numpy as np
@@ -140,8 +146,10 @@ class IrrepBlock:
     labels are the kept branchings nu of alpha in branch_up order, with the
     exact eigenvalues d + c(nu/alpha) of Q(alpha), each of multiplicity
     dim psi^nu; gram_residual is max |Y Y^T - Q(alpha)| / d for the closed-form
-    factor Y.  generators, one C-contiguous (n-1, dim, dim) array, holds in
-    generators[a-1] the image B_a of the partially transposed transposition
+    factor Y.  factors, one C-contiguous (n-1, dim_phi, dim) array, holds Y_a
+    in factors[a-1], untwisted.  generators, one C-contiguous (n-1, dim, dim)
+    array formed from them on first read and kept, holds in generators[a-1]
+    the image B_a = Y_a^T Y_a of the partially transposed transposition
     pairing clone a+1 with the reference; combine and fidelities read it.
     """
 
@@ -151,13 +159,13 @@ class IrrepBlock:
     eigenvalues: tuple[float, ...]
     labels: tuple[Partition, ...]
     gram_residual: float
-    generators: np.ndarray
+    factors: np.ndarray
     dropped: Optional[Partition]
 
     @property
     def dim(self) -> int:
         """Block dimension = rank Q(alpha) = sum of dim psi^nu over the kept nu."""
-        return self.generators.shape[1]
+        return self.factors.shape[2]
 
     @property
     def dim_phi(self) -> int:
@@ -166,6 +174,19 @@ class IrrepBlock:
     @property
     def clone_count(self) -> int:
         return self.n - 1
+
+    @cached_property
+    def generators(self) -> np.ndarray:
+        """B_a = Y_a^T Y_a for a = 1..n-1, as general products.
+
+        NumPy sends Ya.T @ Ya to syrk, whose mirroring of the triangle costs
+        more than the half product it saves; so each B_a is symmetric to
+        rounding only.
+        """
+        generators = np.empty((self.n - 1, self.dim, self.dim))
+        for Ya, B in zip(self.factors, generators):
+            np.matmul(np.ascontiguousarray(Ya.T), Ya, out=B)
+        return generators
 
     def eigenvalues_full(self) -> np.ndarray:
         """Kept eigenvalues with multiplicity, descending."""
@@ -181,13 +202,14 @@ class IrrepBlock:
 
 
 def build_block(alpha: Partition, n: int, d: int) -> IrrepBlock:
-    """Build the generators B_a = Y_a^T Y_a from the closed-form factors Y_a.
+    """Certify the closed-form factors Y_a and keep them; generators form on first read.
 
     The nu of height d + 1 carries eigenvalue 0 and is recorded as dropped.
-    Each B_a is a general product, symmetric to rounding.  The factor is
-    certified against build_Q, one coset a at a time: its rows of Y Y^T from
-    block column a on are compared with Q's block row a and block column a.
-    InconsistencyError is raised unless max |Y Y^T - Q(alpha)| <= 1e-8 d.
+    The factor is certified against build_Q, one coset a at a time: its rows
+    of Y Y^T from block column a on are compared with Q's block row a and
+    block column a.  The certificate reads the last coset twisted as in
+    build_Q; the kept factors are untwisted.  InconsistencyError is raised
+    unless max |Y Y^T - Q(alpha)| <= 1e-8 d.
     """
     m = n - 1
     phi = young_orthogonal_rep(alpha)
@@ -214,20 +236,19 @@ def build_block(alpha: Partition, n: int, d: int) -> IrrepBlock:
     for a in range(m - 1, 0, -1):
         Y = factors[a] * diag[a - 1] + factors[a][:, partner[a - 1]] * off[a - 1]
         factors[a - 1] = phi.left(a, Y) if a < m - 1 else Y
-    # general products: NumPy sends Ya.T @ Ya to syrk, whose mirroring of the
-    # triangle costs more than the half product it saves
-    generators = np.empty((m, spans[-1], spans[-1]))
-    for Ya, B in zip(factors, generators):
-        np.matmul(np.ascontiguousarray(Ya.T), Ya, out=B)
 
-    if n >= 4:  # the last coset twisted as in build_Q
-        factors[-1] = phi.left(1, factors[-1])
+    # the certificate reads the last coset twisted as in build_Q, then the
+    # untwisted copy goes back, so the generators formed later are unchanged
+    untwisted = factors[-1].copy()
+    if n >= 4:
+        factors[-1] = phi.left(1, untwisted)
     Q = build_Q(alpha, n, d).entries
     deviations = []
     for a in range(m):
         R = factors[a] @ factors[a:].reshape(-1, spans[-1]).T
         for D in (R - Q[a * w:(a + 1) * w, a * w:], R - Q[a * w:, a * w:(a + 1) * w].T):
             deviations += [D.max(), -D.min()]
+    factors[-1] = untwisted
     gram_residual = float(np.max(deviations)) / d
     if not gram_residual <= 1e-8:
         raise InconsistencyError(
@@ -241,7 +262,7 @@ def build_block(alpha: Partition, n: int, d: int) -> IrrepBlock:
         eigenvalues=tuple(eigenvalues),
         labels=tuple(labels),
         gram_residual=gram_residual,
-        generators=generators,
+        factors=factors,
         dropped=dropped,
     )
 
@@ -262,16 +283,19 @@ class Decomposition:
 
 def decompose(n: int, d: int) -> Decomposition:
     """All blocks for (n, d); ValueError, before any is built, past the memory budget."""
-    # A block keeps n-1 generators of dim^2 floats.  While it is built, its
-    # (n-1, dim_phi, dim) factors, Q(alpha) and one coset row of Y Y^T with its
-    # two differences from Q, (n-1) dim_phi^2 floats each, take the rest.
+    # A block keeps its (n-1, dim_phi, dim) factors.  Its n-1 generators of
+    # dim^2 floats are charged too, since every reader but symmetric_max forms
+    # them, after every block is built.  Blocks are built one at a time, so
+    # only the largest build transient is charged: Q(alpha) and one coset row
+    # of Y Y^T with its two differences from Q, (n-1) dim_phi^2 floats each.
     # Partitions are read lazily, so a size far past the budget is refused at
     # its first blocks.
-    m, need, alphas = n - 1, 2**20, []
+    m, kept, build, alphas = n - 1, 2**20, 0, []
     for alpha in _admissible(n, d, n - 2):
         dim, w = sum(nu.dimension for nu in branch_up(alpha) if nu.height <= d), alpha.dimension
-        need += 8 * m * dim * dim + 8 * m * w * (dim + (m + 3) * w)
-        require_memory(need, f"decompose({n}, {d})")
+        kept += 8 * m * dim * (dim + w)
+        build = max(build, 8 * m * (m + 3) * w * w)
+        require_memory(kept + build, f"decompose({n}, {d})")
         alphas.append(alpha)
     blocks = tuple(build_block(a, n, d) for a in alphas)
     return Decomposition(n, d, blocks, tuple(admissible_N_irreps(n, d)))
@@ -296,8 +320,9 @@ def block_to_dict(block: IrrepBlock) -> dict:
 
 def decomposition_to_dict(dec: Decomposition) -> dict:
     # the generators and their lists of Python floats peak at 5.2-5.8x the
-    # generators' bytes; the JSON text is streamed, never held whole
-    gen_bytes = sum(b.generators.nbytes for b in dec.blocks)
+    # generators' bytes, read from the block shapes so that a refusal forms
+    # none; the JSON text is streamed, never held whole
+    gen_bytes = sum(8 * (dec.n - 1) * b.dim**2 for b in dec.blocks)
     require_memory(6 * gen_bytes + 2**20, f"the JSON text of decompose({dec.n}, {dec.d})")
     return {
         "n": dec.n,

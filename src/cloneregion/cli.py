@@ -58,17 +58,22 @@ SCHEMA_VERSION = "1.0.0"
 
 
 def _atomic_write(path: str, write):
-    """Call write(fh) on a temporary file beside path, then move it into place."""
+    """Call write(fh) on a temporary file beside path, then move it into place.
+
+    An OSError names path, the file the caller asked for, not the temporary one.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cloneregion-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cloneregion-")
         with os.fdopen(fd, "w") as fh:
             write(fh)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _emit(args, payload: dict | str | Iterable[list]):

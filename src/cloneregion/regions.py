@@ -216,6 +216,7 @@ def symmetric_max(dec: Decomposition) -> float:
     h(1,...,1) = max(d + c)/d over the blocks.  The origin never wins: a kept
     nu has height <= d, so c >= 1 - d and d + c >= 1.  The maximum is
     d + n - 2, at alpha = (n-2) and nu = (n-1): Werner's (N + d - 1)/(N d).
+    It reads no generator, so no block forms its generator store.
     """
     return max(max(b.eigenvalues) for b in dec.blocks) / (dec.d * dec.clone_count)
 

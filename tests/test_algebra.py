@@ -272,6 +272,9 @@ class TestGeneratorArray:
             assert G.shape == (n - 1, block.dim, block.dim)
             assert G.dtype == np.float64
             assert G.flags.c_contiguous
+            Y = block.factors
+            assert Y.shape == (n - 1, block.dim_phi, block.dim)
+            assert Y.dtype == np.float64 and Y.flags.c_contiguous
 
 
 class TestCloneObservable:

@@ -363,6 +363,7 @@ class TestOutputFiles:
                              "--out", str(tmp_path / target))
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert repr(str(tmp_path / target)) in err and ".cloneregion-" not in err
         assert not list(tmp_path.rglob(".cloneregion-*"))
         assert [p.name for p in tmp_path.iterdir()] == ["existing"]
         assert not list((tmp_path / "existing").iterdir())

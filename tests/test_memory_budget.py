@@ -98,6 +98,14 @@ class TestRefusalsUnderAddressLimit:
         assert "memory budget" in results[-1]["raised"]
 
 
+def test_symmetric_reads_no_generator_under_1_gib():
+    # decompose(11, 4) keeps 277 MiB of factors; its generators would take 1.3 GiB
+    [result] = run_under_address_limit([["symmetric", "--n", "11", "--d", "4"]], limit=2**30)
+    assert result["raised"] is None, result["raised"]
+    assert result["rc"] == 0, result["stderr"]
+    assert "(Werner reference F = 0.325000, f = 0.460000)" in result["stdout"]
+
+
 def _measure(monkeypatch, call):
     """(tracemalloc peak above the start, largest prediction made) for call()."""
     predictions = []
@@ -130,12 +138,16 @@ def _site_call(site, size):
     """The call that exercises site at size; the inputs it takes are built first."""
     if site == "decompose":
         return lambda: algebra.decompose(*size)
-    if site == "sector_blocks":
+    if site == "generators":  # the whole store that decompose's prediction charges
+        return lambda: [block.generators for block in algebra.decompose(*size).blocks]
+    if site.startswith("sector_blocks"):  # the inputs: every block with its generators
         dec = algebra.decompose(*size)
+        for block in dec.blocks:
+            block.generators
+    if site == "sector_blocks":
         w = np.random.default_rng(sum(size)).normal(size=dec.clone_count)
         return lambda: oracle.full_vs_block_spectrum(dec, w)
     if site == "sector_blocks_stack":  # five directions in one call, as `check` makes it
-        dec = algebra.decompose(*size)
         W = np.random.default_rng(sum(size)).normal(size=(5, dec.clone_count))
         return lambda: oracle.full_vs_block_spectrum(dec, W)
     if site == "haar_isometry":
@@ -150,6 +162,7 @@ def _site_call(site, size):
 
 SITES = [
     ("decompose", (10, 2)), ("decompose", (8, 4)), ("decompose", (9, 4)), ("decompose", (14, 2)),
+    ("generators", (10, 2)), ("generators", (9, 4)), ("generators", (14, 2)),
     ("irreps", (6, 4)), ("irreps", (7, 4)), ("irreps", (9, 2)),
     ("sector_blocks", (5, 4)), ("sector_blocks", (7, 4)), ("sector_blocks", (8, 3)),
     ("sector_blocks", (6, 8)),

@@ -525,9 +525,9 @@ class TestFullVsBlockSpectrum:
         w = np.ones(n - 1)
         assert full_vs_block_spectrum(dec, w).max_abs_gap < 1e-8
         first = dec.blocks[0]
-        generators = first.generators.copy()
-        generators[0] *= 1 + 1e-6
-        scaled = dataclasses.replace(first, generators=generators)
+        factors = first.factors.copy()
+        factors[0] *= np.sqrt(1 + 1e-6)  # B_1 = Y_1^T Y_1 scaled by 1 + 1e-6
+        scaled = dataclasses.replace(first, factors=factors)
         broken = {
             "dropped": dec.blocks[1:],
             "duplicated": dec.blocks + dec.blocks[:1],

@@ -191,6 +191,15 @@ class TestSymmetricMax:
             monkeypatch.setattr(regions, name, refuse)
         assert symmetric_max(dec) == pytest.approx(6 / 12, abs=1e-15)
 
+    @pytest.mark.parametrize("n,d", [(5, 4), (10, 5)])
+    def test_forms_no_generators(self, n, d):
+        # decompose keeps the certified factors; the generators form on first read
+        dec = decompose(n, d)
+        symmetric_max(dec)
+        assert not [b.alpha for b in dec.blocks if "generators" in vars(b)]
+        first = dec.blocks[0]
+        assert first.generators is first.generators and "generators" in vars(first)
+
 
 class TestPositiveOrthantDominance:
     """Block alpha = (n-2) attains block_support along every sampled w > 0."""
