@@ -29,8 +29,8 @@ eigenvalues, in the canonical Young basis at every n.
 
 A block keeps what the certificate reads: the labels, the Gram residual and
 the factors, about dim phi/dim of the generators' bytes.  The generators B_a
-are formed from the factors on first read and kept; the symmetric optimum
-reads the labels alone and forms none.
+are formed from the factors on first read and kept in their place; the
+symmetric optimum reads the labels alone and forms none.
 """
 
 from __future__ import annotations
@@ -147,10 +147,11 @@ class IrrepBlock:
     exact eigenvalues d + c(nu/alpha) of Q(alpha), each of multiplicity
     dim psi^nu; gram_residual is max |Y Y^T - Q(alpha)| / d for the closed-form
     factor Y.  factors, one C-contiguous (n-1, dim_phi, dim) array, holds Y_a
-    in factors[a-1], untwisted.  generators, one C-contiguous (n-1, dim, dim)
-    array formed from them on first read and kept, holds in generators[a-1]
-    the image B_a = Y_a^T Y_a of the partially transposed transposition
-    pairing clone a+1 with the reference; combine and fidelities read it.
+    in factors[a-1], untwisted, until the generators are formed from it on
+    first read; then it is released (None).  generators, one C-contiguous
+    (n-1, dim, dim) array, holds in generators[a-1] the image B_a = Y_a^T Y_a
+    of the partially transposed transposition pairing clone a+1 with the
+    reference; combine and fidelities read it.
     """
 
     alpha: Partition
@@ -159,13 +160,13 @@ class IrrepBlock:
     eigenvalues: tuple[float, ...]
     labels: tuple[Partition, ...]
     gram_residual: float
-    factors: np.ndarray
+    factors: Optional[np.ndarray]
     dropped: Optional[Partition]
 
-    @property
+    @cached_property
     def dim(self) -> int:
         """Block dimension = rank Q(alpha) = sum of dim psi^nu over the kept nu."""
-        return self.factors.shape[2]
+        return sum(nu.dimension for nu in self.labels)
 
     @property
     def dim_phi(self) -> int:
@@ -181,11 +182,13 @@ class IrrepBlock:
 
         NumPy sends Ya.T @ Ya to syrk, whose mirroring of the triangle costs
         more than the half product it saves; so each B_a is symmetric to
-        rounding only.
+        rounding only.  The factors are released once the store is formed,
+        so a block never holds both.
         """
         generators = np.empty((self.n - 1, self.dim, self.dim))
         for Ya, B in zip(self.factors, generators):
             np.matmul(np.ascontiguousarray(Ya.T), Ya, out=B)
+        object.__setattr__(self, "factors", None)
         return generators
 
     def eigenvalues_full(self) -> np.ndarray:
@@ -283,19 +286,17 @@ class Decomposition:
 
 def decompose(n: int, d: int) -> Decomposition:
     """All blocks for (n, d); ValueError, before any is built, past the memory budget."""
-    # A block keeps its (n-1, dim_phi, dim) factors.  Its n-1 generators of
-    # dim^2 floats are charged too, since every reader but symmetric_max forms
-    # them, after every block is built.  Blocks are built one at a time, so
-    # only the largest build transient is charged: Q(alpha) and one coset row
-    # of Y Y^T with its two differences from Q, (n-1) dim_phi^2 floats each.
-    # Partitions are read lazily, so a size far past the budget is refused at
-    # its first blocks.
-    m, kept, build, alphas = n - 1, 2**20, 0, []
+    # Each block is charged its n-1 generators of dim^2 floats, which every
+    # reader but symmetric_max forms, and its (n-1, dim_phi, dim) factors,
+    # which it keeps until then; Q(alpha) and one coset row of Y Y^T with its
+    # two differences from Q, (n-1) dim_phi^2 floats each, are its build
+    # transients.  Partitions are read lazily, so a size far past the budget
+    # is refused at its first blocks.
+    m, need, alphas = n - 1, 2**20, []
     for alpha in _admissible(n, d, n - 2):
         dim, w = sum(nu.dimension for nu in branch_up(alpha) if nu.height <= d), alpha.dimension
-        kept += 8 * m * dim * (dim + w)
-        build = max(build, 8 * m * (m + 3) * w * w)
-        require_memory(kept + build, f"decompose({n}, {d})")
+        need += 8 * m * dim * dim + 8 * m * w * (dim + (m + 3) * w)
+        require_memory(need, f"decompose({n}, {d})")
         alphas.append(alpha)
     blocks = tuple(build_block(a, n, d) for a in alphas)
     return Decomposition(n, d, blocks, tuple(admissible_N_irreps(n, d)))

@@ -267,14 +267,15 @@ class TestGeneratorArray:
     @pytest.mark.parametrize("n,d", [(3, 2), (4, 3), (5, 3), (6, 3)])
     def test_one_contiguous_float_array(self, n, d):
         for block in decompose(n, d).blocks:
+            Y = block.factors
+            assert Y.shape == (n - 1, block.dim_phi, block.dim)
+            assert Y.dtype == np.float64 and Y.flags.c_contiguous
             G = block.generators
             assert type(G) is np.ndarray
             assert G.shape == (n - 1, block.dim, block.dim)
             assert G.dtype == np.float64
             assert G.flags.c_contiguous
-            Y = block.factors
-            assert Y.shape == (n - 1, block.dim_phi, block.dim)
-            assert Y.dtype == np.float64 and Y.flags.c_contiguous
+            assert block.factors is None  # released once the store is formed
 
 
 class TestCloneObservable:

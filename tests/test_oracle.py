@@ -522,12 +522,12 @@ class TestFullVsBlockSpectrum:
     @pytest.mark.parametrize("n,d", [(4, 3), (5, 4)])
     def test_rejects_broken_decomposition(self, n, d):
         dec = decompose(n, d)
-        w = np.ones(n - 1)
-        assert full_vs_block_spectrum(dec, w).max_abs_gap < 1e-8
         first = dec.blocks[0]
-        factors = first.factors.copy()
+        factors = first.factors.copy()  # read before the generators form and release them
         factors[0] *= np.sqrt(1 + 1e-6)  # B_1 = Y_1^T Y_1 scaled by 1 + 1e-6
         scaled = dataclasses.replace(first, factors=factors)
+        w = np.ones(n - 1)
+        assert full_vs_block_spectrum(dec, w).max_abs_gap < 1e-8
         broken = {
             "dropped": dec.blocks[1:],
             "duplicated": dec.blocks + dec.blocks[:1],

@@ -199,6 +199,7 @@ class TestSymmetricMax:
         assert not [b.alpha for b in dec.blocks if "generators" in vars(b)]
         first = dec.blocks[0]
         assert first.generators is first.generators and "generators" in vars(first)
+        assert first.factors is None
 
 
 class TestPositiveOrthantDominance:
