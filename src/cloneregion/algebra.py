@@ -283,6 +283,11 @@ class Decomposition:
     def clone_count(self) -> int:
         return self.n - 1
 
+    @property
+    def generator_bytes(self) -> int:
+        """Bytes of every block's n-1 generators, read from the block shapes, formed or not."""
+        return sum(8 * (self.n - 1) * b.dim**2 for b in self.blocks)
+
 
 def decompose(n: int, d: int) -> Decomposition:
     """All blocks for (n, d); ValueError, before any is built, past the memory budget."""
@@ -323,8 +328,8 @@ def decomposition_to_dict(dec: Decomposition) -> dict:
     # the generators and their lists of Python floats peak at 5.2-5.8x the
     # generators' bytes, read from the block shapes so that a refusal forms
     # none; the JSON text is streamed, never held whole
-    gen_bytes = sum(8 * (dec.n - 1) * b.dim**2 for b in dec.blocks)
-    require_memory(6 * gen_bytes + 2**20, f"the JSON text of decompose({dec.n}, {dec.d})")
+    require_memory(6 * dec.generator_bytes + 2**20,
+                   f"the JSON text of decompose({dec.n}, {dec.d})")
     return {
         "n": dec.n,
         "d": dec.d,

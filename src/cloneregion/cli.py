@@ -169,7 +169,9 @@ def run_checks(n: int, d: int, seed: int = 0) -> list[tuple[str, bool, str]]:
     """Full certification suite for one (n, d); returns (name, ok, detail) rows.
 
     The oracle's memory prediction (charge_orbits) comes first, so a refused
-    size builds no block.  Generator rows read each block's generators
+    size builds no block; full_vs_block_spectrum makes it again with the
+    generator store beside each sector, since the generator rows form every
+    block's generators first.  Those rows read each block's generators
     directly, in regions._chunks, the chunks that prediction prices.  One
     full_vs_block_spectrum call and one support call certify five random
     directions, one (5, n - 1) draw: the numbers of five draws of size n - 1.
@@ -298,7 +300,8 @@ def cmd_convert(args) -> int:
 _OWN_FLAGS = {
     "tol": dict(type=float, default=1e-9, help="membership tolerance, 0 < tol < 1"),
     "samples": dict(type=int, default=10**4,
-                    help="sample count k (region: a 3-dim block gets na*(k//na), na = round(sqrt(k/2)))"),
+                    help="sample count k (region: a 3-dim block gets na*max(1, k//na) points, "
+                         "na = max(2, round(sqrt(k/2))))"),
     "seed": dict(type=int, default=0, help="base RNG seed"),
     "format": dict(choices=("json", "csv"), default="json", help="output format"),
 }

@@ -28,7 +28,7 @@ import numpy as np
 import numpy.random  # NumPy 2 loads it lazily; load it with the package, not on first draw
 
 from .algebra import Decomposition, InconsistencyError, require_memory
-from .regions import _chunk_rows, _directions, _stacked
+from .regions import _chunk_rows, _nonzero_directions, _stacked
 from .symgroup import Permutation, partitions_of
 
 
@@ -144,7 +144,7 @@ def _sector(parts: tuple[int, ...], n: int, d: int) -> Sector:
     return Sector(states, tuple(entries), d)
 
 
-def charge_orbits(n: int, d: int) -> list[tuple]:
+def charge_orbits(n: int, d: int, held: int = 0) -> list[tuple]:
     """(lambda, orbit, size) of the representative charge sector of each type lambda.
 
     X_k = V^{t_1}(1k) sends |i> with i_1 = i_k to sum_a |i with legs 1 and k
@@ -160,8 +160,11 @@ def charge_orbits(n: int, d: int) -> list[tuple]:
     `size` states.  The types come lazily from partitions_of(n - 2, d), and
     each sector is priced as it comes at the largest chunk regions._stacked
     forms for it, regions._chunk_rows(size) matrices, whatever the number of
-    directions: the one prediction that bounds the oracle.  ValueError, naming
-    type and size, at the first past the memory budget (larger ones may follow).
+    directions: the one prediction that bounds the oracle.  held bytes are
+    charged beside each sector: full_vs_block_spectrum passes the blocks'
+    generator store (Decomposition.generator_bytes), which a caller such as
+    check holds while the sectors are built.  ValueError, naming type and
+    size, at the first past the memory budget (larger ones may follow).
     """
     kept = d * (d ** (n - 1) - (d - 1) ** (n - 1))  # the states with leg 1's colour on legs 2..n
     out = []
@@ -172,7 +175,7 @@ def charge_orbits(n: int, d: int) -> list[tuple]:
         size = sum(m // (p + 1) for p in lam.parts) + (d - lam.height) * m
         # the matrices of one chunk, eigvalsh's copy and its workspace; the
         # enumeration, and the entries of the n - 1 X_k
-        require_memory(24 * _chunk_rows(size) * size**2
+        require_memory(held + 24 * _chunk_rows(size) * size**2
                        + 8 * size * (8 * (n + d) + (n - 1) * (d + 1)) + 2**20,
                        f"the charge sectors of (C^{d})^{n}, at the sector of type {lam.parts} "
                        f"and size {size} (larger ones may follow),")
@@ -350,20 +353,21 @@ def full_vs_block_spectrum(dec: Decomposition, W: np.ndarray):
     """Certify the block decomposition along direction W, or along each row of a stack W.
 
     Diagonalizes sum_k W[r, k-2] V^{t_1}(1k) one representative charge sector
-    a colour orbit, each priced by charge_orbits whatever the number of rows,
-    enumerated once and read by regions._stacked like a block, each
-    eigenvalue counted `orbit` times.  The blocks predict those of
-    sum_k W[r, k-2] B_{k-1} in block alpha, counted r(alpha) = s_alpha(1^d)
-    times, and zero on the kept states left over.  max_abs_gap compares the
-    sorted spectra entry by entry, from their (value, count) lists.  One
-    SpectrumReport for W of shape (n - 1,), a list for (k, n - 1).
+    a colour orbit, each priced by charge_orbits whatever the number of rows
+    and beside the blocks' generator store, enumerated once and read by
+    regions._stacked like a block, each eigenvalue counted `orbit` times.
+    The blocks predict those of sum_k W[r, k-2] B_{k-1} in block alpha,
+    counted r(alpha) = s_alpha(1^d) times, and zero on the kept states left
+    over.  max_abs_gap compares the sorted spectra entry by entry, from their
+    (value, count) lists.  One SpectrumReport for W of shape (n - 1,), a list
+    for (k, n - 1); any other shape, or a zero row, is a ValueError
+    (regions._nonzero_directions).
     """
     n, d = dec.n, dec.d
-    W = np.asarray(W, dtype=float)
-    rows = _directions(W, n - 1)
+    rows = _nonzero_directions(W, n - 1)
 
     orbits, spectra = [], []  # a representative sector's orbit, and its eigenvalues a row
-    for lam, orbit, s in charge_orbits(n, d):
+    for lam, orbit, s in charge_orbits(n, d, dec.generator_bytes):
         sector = _sector(lam.parts, n, d)
         if sector.dim != s:
             raise InconsistencyError(f"sector {lam.parts} holds {sector.dim} states, not {s}")
@@ -383,4 +387,4 @@ def full_vs_block_spectrum(dec: Decomposition, W: np.ndarray):
         full = _spectrum(values, full_counts)
         gap = _max_gap(full, _spectrum(predicted, block_counts))
         reports.append(SpectrumReport(w, full, r, gap, (len(orbits), sum(orbits))))
-    return reports if W.ndim == 2 else reports[0]
+    return reports if np.ndim(W) == 2 else reports[0]

@@ -128,12 +128,12 @@ def sample_region(dec: Decomposition, count: int) -> list[RegionSample]:
 def block_support(dec: Decomposition, W: np.ndarray):
     """max over blocks of (1/d) lambda_max(sum_k W_k B_k); the origin excluded.
 
-    W is one direction, giving a float, or a (k, N) stack, giving k values.
+    W is one direction, giving a float, or a (k, N) stack, giving k values;
+    _directions reads it, so any other shape is a ValueError.  A zero row gives 0.
     """
-    W = np.asarray(W, dtype=float)
-    tops = np.max([_top(block, W.reshape(-1, dec.clone_count)) for block in dec.blocks],
-                  axis=0) / dec.d
-    return tops if W.ndim == 2 else float(tops[0])
+    rows = _directions(W, dec.clone_count)
+    tops = np.max([_top(block, rows) for block in dec.blocks], axis=0) / dec.d
+    return tops if np.ndim(W) == 2 else float(tops[0])
 
 
 def support(dec: Decomposition, W: np.ndarray):
@@ -142,18 +142,33 @@ def support(dec: Decomposition, W: np.ndarray):
     The 0 is the ideal N's point, the origin; h(w) is the full-space
     (1/d) lambda_max(sum_k w_k V^{t_1}(1k)), whose kernel is never empty.
     W is one direction, giving a float, or a (k, N) stack, giving k values
-    from one batched eigensolve a block.
+    from one batched eigensolve a block; _nonzero_directions reads it, so any
+    other shape, and a zero row, is a ValueError.
     """
-    W = np.asarray(W, dtype=float)
-    h = np.maximum(block_support(dec, _directions(W, dec.clone_count)), 0.0)
-    return h if W.ndim == 2 else float(h[0])
+    _nonzero_directions(W, dec.clone_count)
+    h = block_support(dec, W)
+    return (h + abs(h)) / 2  # max(h, 0), exactly, for a float or each entry of a stack
 
 
 def _directions(W: np.ndarray, N: int) -> np.ndarray:
-    """W, one direction or a stack of them, as (k, N) rows; ValueError unless each is nonzero."""
-    if W.ndim not in (1, 2) or W.shape[-1] != N or not W.size or not np.all(np.any(W, axis=-1)):
-        raise ValueError(f"need nonzero directions of length {N}")
+    """W, one direction of length N or a (k, N) stack with k >= 1, as (k, N) float rows.
+
+    The one input rule of the region queries: block_support, support,
+    extreme_points and oracle.full_vs_block_spectrum read their directions
+    here at entry, and ValueError, naming N, refuses any other shape.
+    """
+    W = np.asarray(W, dtype=float)
+    if W.ndim not in (1, 2) or W.shape[-1] != N or not W.size:
+        raise ValueError(f"need a direction of length {N} or a (k, {N}) stack; got shape {W.shape}")
     return W.reshape(-1, N)
+
+
+def _nonzero_directions(W: np.ndarray, N: int) -> np.ndarray:
+    """_directions(W, N), and ValueError if a row is zero: for support and the oracle."""
+    rows = _directions(W, N)
+    if not np.all(np.any(rows, axis=1)):
+        raise ValueError(f"need nonzero directions of length {N}")
+    return rows
 
 
 def _chunk_rows(dim: int) -> int:
@@ -185,8 +200,11 @@ def extreme_points(dec: Decomposition, W: np.ndarray):
     fidelity vector of the top eigenvector of sum_k W[r, k] B_k in the first
     block whose top eigenvalue is largest.  Top eigenvalues come from
     eigvalsh in every block, eigenvectors from eigh in the winning block only.
+    W is read by _directions, so one direction is a stack of one; a zero row
+    is priced too (h = 0, a point of the first block), as constrained_max
+    needs when its objective is parallel to a constraint.
     """
-    W = np.asarray(W, dtype=float).reshape(-1, dec.clone_count)
+    W = _directions(W, dec.clone_count)
     tops = np.array([_top(b, W) for b in dec.blocks])
     source = np.argmax(tops, axis=0)
     h = tops[source, np.arange(len(W))]
@@ -362,8 +380,11 @@ class MembershipOracle:
 
         InconsistencyError if the bracket is inverted by more than tol, or if
         an inside or boundary certificate misses p by more than tol.
+        ValueError unless p has shape (N,): one fidelity tuple (F_12, ..., F_1n).
         """
         p = np.asarray(p, dtype=float)
+        if p.shape != self.center.shape:
+            raise ValueError(f"need a point of length {len(self.center)}; got shape {p.shape}")
         u = p - self.center
         j = int(np.argmax(self.cuts @ u))
         lower, cut = float(self.cuts[j] @ u), self.cuts[j]

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cloneregion import __version__, cli, decompose, oracle, regions
+from cloneregion import __version__, algebra, cli, decompose, oracle, regions
 from cloneregion.cli import SCHEMA_VERSION, build_parser, main
 
 
@@ -328,6 +328,21 @@ class TestArgumentValidation:
         assert proc.returncode == 2 and proc.stdout == "", proc.stderr[-2000:]
         assert "charge sectors" in proc.stderr and "at the sector of type" in proc.stderr
         assert "larger ones may follow" in proc.stderr and "memory budget" in proc.stderr
+
+    def test_check_charges_the_generator_store_beside_each_sector(self, capsys, monkeypatch):
+        # at (5,4) the largest sector is priced at 26,237,408 B and the generators
+        # hold 3072 B: a budget between the price and the sum admits the first
+        # prediction, before decompose, and refuses at the oracle's, which holds both
+        price, store = 26_237_408, 3072
+        monkeypatch.setattr(algebra, "MEMORY_BUDGET", price - 1)
+        with pytest.raises(ValueError, match="charge sectors"):
+            oracle.charge_orbits(5, 4)
+        monkeypatch.setattr(algebra, "MEMORY_BUDGET", price + store // 2)
+        oracle.charge_orbits(5, 4)
+        code, out, err = run(capsys, "check", "--n", "5", "--d", "4")
+        assert code == 2 and out == ""
+        assert "charge sectors" in err and "memory budget" in err
+        assert decompose(5, 4).generator_bytes == store
 
     def test_irreps_past_the_old_cap(self, capsys):
         code, out, _ = run(capsys, "irreps", "--n", "9", "--d", "2")

@@ -567,3 +567,46 @@ class TestBlockSupportVsNPoint:
         # the origin, the N-point, dominates downward: h includes it, blocks do not
         assert support(dec32, w) == pytest.approx(0.0, abs=1e-10)
         assert support(dec4, w) == pytest.approx(0.0, abs=1e-10)
+
+
+class TestInputRule:
+    """Every region query reads its directions by regions._directions at entry."""
+
+    # a wrong last axis, an empty stack and a three-dimensional array
+    BAD = [(4, 2, np.ones(6)), (3, 2, np.ones(4)), (4, 2, np.ones((2, 2))),
+           (4, 2, np.zeros((0, 3))), (3, 2, np.ones((1, 1, 2))), (4, 3, np.ones((2, 1, 3)))]
+
+    @pytest.mark.parametrize("query", [block_support, extreme_points],
+                             ids=["block_support", "extreme_points"])
+    @pytest.mark.parametrize("n,d,W", BAD, ids=["6-at-4", "4-at-3", "2x2-at-4", "empty",
+                                                "1x1x2", "2x1x3"])
+    def test_refuses_a_shape_other_than_N_or_k_by_N(self, query, n, d, W):
+        # reshape(-1, N) read np.ones(6) at (4,2) as two copies of (1, 1, 1): 2.0
+        with pytest.raises(ValueError, match=f"length {n - 1}"):
+            query(decompose(n, d), W)
+
+    @pytest.mark.parametrize("p", [[0.3], np.ones(4), np.ones((1, 3)), 0.3],
+                             ids=["1", "4", "1x3", "scalar"])
+    def test_certify_and_classify_refuse_a_point_not_of_shape_N(self, p):
+        # classify([0.3]) at (4,2) answered inside for (0.3, 0.3, 0.3)
+        oracle = MembershipOracle(decompose(4, 2))
+        with pytest.raises(ValueError, match="length 3"):
+            oracle.certify(p)
+        with pytest.raises(ValueError, match="length 3"):
+            oracle.classify(p)
+
+    def test_extreme_points_price_a_zero_row(self, dec32, monkeypatch):
+        # objective (1, 0) parallel to the constraint F_12 = 0.5: the dual prices
+        # o + A^T pi = (0, 0), and the answer is the constraint's value
+        priced = []
+
+        def spy(dec, W):
+            priced.append(np.array(W, dtype=float).reshape(-1, dec.clone_count))
+            return extreme_points(dec, W)
+
+        monkeypatch.setattr(regions, "extreme_points", spy)
+        value, point = constrained_max(dec32, [1, 0], [([1, 0], 0.5)])
+        assert value == pytest.approx(0.5, abs=1e-9) and point[0] == pytest.approx(0.5, abs=1e-9)
+        assert any(not np.any(W) for W in np.vstack(priced))
+        X, h, _ = extreme_points(dec32, np.zeros(2))
+        assert X.shape == (1, 2) and h[0] == 0.0
