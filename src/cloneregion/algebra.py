@@ -27,17 +27,19 @@ as in build_Q) gives Y Y^T = Q(alpha), and sum_a B_a = diag(d + c(nu/alpha)).
 So Y is a factor of Q whose columns span its eigenspaces with the exact
 eigenvalues, in the canonical Young basis at every n.
 
-A block keeps what the certificate reads: the labels, the Gram residual and
-the factors, about dim phi/dim of the generators' bytes.  The generators B_a
-are formed from the factors on first read and kept in their place; the
-symmetric optimum reads the labels alone and forms none.
+A block keeps no array: only the labels, their eigenvalues and the Gram
+residual.  _factors, elementwise gathers free of BLAS, gives the same bits
+on every call, so build_block derives the factors, certifies them and drops
+them, and the generators B_a derive them again on first read, form the
+products and drop them; the symmetric optimum reads the labels alone and
+forms neither.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -146,12 +148,10 @@ class IrrepBlock:
     labels are the kept branchings nu of alpha in branch_up order, with the
     exact eigenvalues d + c(nu/alpha) of Q(alpha), each of multiplicity
     dim psi^nu; gram_residual is max |Y Y^T - Q(alpha)| / d for the closed-form
-    factor Y.  factors, one C-contiguous (n-1, dim_phi, dim) array, holds Y_a
-    in factors[a-1], untwisted, until the generators are formed from it on
-    first read; then it is released (None).  generators, one C-contiguous
-    (n-1, dim, dim) array, holds in generators[a-1] the image B_a = Y_a^T Y_a
-    of the partially transposed transposition pairing clone a+1 with the
-    reference; combine and fidelities read it.
+    factor Y, which the block does not hold.  generators, one C-contiguous
+    (n-1, dim, dim) array formed on first read, holds in generators[a-1] the
+    image B_a = Y_a^T Y_a of the partially transposed transposition pairing
+    clone a+1 with the reference; combine and fidelities read it.
     """
 
     alpha: Partition
@@ -160,7 +160,6 @@ class IrrepBlock:
     eigenvalues: tuple[float, ...]
     labels: tuple[Partition, ...]
     gram_residual: float
-    factors: Optional[np.ndarray]
     dropped: Optional[Partition]
 
     @cached_property
@@ -180,15 +179,15 @@ class IrrepBlock:
     def generators(self) -> np.ndarray:
         """B_a = Y_a^T Y_a for a = 1..n-1, as general products.
 
-        NumPy sends Ya.T @ Ya to syrk, whose mirroring of the triangle costs
-        more than the half product it saves; so each B_a is symmetric to
-        rounding only.  The factors are released once the store is formed,
-        so a block never holds both.
+        The factors are derived again by _factors, bit for bit the ones that
+        build_block certified, and dropped once the store is formed.  NumPy
+        sends Ya.T @ Ya to syrk, whose mirroring of the triangle costs more
+        than the half product it saves; so each B_a is symmetric to rounding
+        only.
         """
         generators = np.empty((self.n - 1, self.dim, self.dim))
-        for Ya, B in zip(self.factors, generators):
+        for Ya, B in zip(_factors(self.alpha, self.labels, self.eigenvalues), generators):
             np.matmul(np.ascontiguousarray(Ya.T), Ya, out=B)
-        object.__setattr__(self, "factors", None)
         return generators
 
     def eigenvalues_full(self) -> np.ndarray:
@@ -204,54 +203,63 @@ class IrrepBlock:
         return np.einsum("...i,aij,...j->...a", states, self.generators, states) / self.d
 
 
-def build_block(alpha: Partition, n: int, d: int) -> IrrepBlock:
-    """Certify the closed-form factors Y_a and keep them; generators form on first read.
+def _factors(alpha: Partition, labels: Sequence[Partition],
+             eigenvalues: Sequence[float]) -> np.ndarray:
+    """The closed-form factors Y_a, untwisted, in factors[a-1] of one (n-1, dim_phi, dim) array.
 
-    The nu of height d + 1 carries eigenvalue 0 and is recorded as dropped.
-    The factor is certified against build_Q, one coset a at a time: its rows
-    of Y Y^T from block column a on are compared with Q's block row a and
-    block column a.  The certificate reads the last coset twisted as in
-    build_Q; the kept factors are untwisted.  InconsistencyError is raised
-    unless max |Y Y^T - Q(alpha)| <= 1e-8 d.
+    labels are the kept nu = alpha + box and eigenvalues their d + c(nu/alpha),
+    in branch_up order.  Every step is an elementwise product or a gather, with
+    no BLAS call, so the same block gives the same bits on every call.
     """
-    m = n - 1
+    m = alpha.size + 1
     phi = young_orthogonal_rep(alpha)
     w = phi.dim
-    nus = branch_up(alpha)
-    labels = [nu for nu in nus if nu.height <= d]
-    dropped = next((nu for nu in nus if nu.height > d), None)
     psis = [young_orthogonal_rep(nu) for nu in labels]
     spans = np.cumsum([0] + [psi.dim for psi in psis])
-    boxes = [_added_box(alpha, nu) for nu in labels]
-    eigenvalues = [float(d + col - row) for row, col in boxes]
     # psi, the direct sum of the kept psi^nu, as one sparse form
     diag = np.hstack([psi.diag for psi in psis])
     off = np.hstack([psi.off for psi in psis])
     partner = np.hstack([psi.partner + start for psi, start in zip(psis, spans)])
 
-    # factors[a-1] = Y_a.  Y_m has one entry per (T, nu), in column (nu, T + m).
-    # The tableaux of nu with m in the box nu/alpha are the T + m, in the order
-    # of the T.
+    # Y_m has one entry per (T, nu), in column (nu, T + m).  The tableaux of nu
+    # with m in the box nu/alpha are the T + m, in the order of the T.
     factors = np.zeros((m, w, spans[-1]))
-    for psi, (row, _), lam, start in zip(psis, boxes, eigenvalues, spans):
-        grown = start + np.flatnonzero(psi.words[:, -1] == row)
+    for psi, nu, lam, start in zip(psis, labels, eigenvalues, spans):
+        grown = start + np.flatnonzero(psi.words[:, -1] == _added_box(alpha, nu)[0])
         factors[-1, np.arange(w), grown] = np.sqrt(lam * psi.dim / (m * w))
     for a in range(m - 1, 0, -1):
         Y = factors[a] * diag[a - 1] + factors[a][:, partner[a - 1]] * off[a - 1]
         factors[a - 1] = phi.left(a, Y) if a < m - 1 else Y
+    return factors
 
-    # the certificate reads the last coset twisted as in build_Q, then the
-    # untwisted copy goes back, so the generators formed later are unchanged
-    untwisted = factors[-1].copy()
+
+def build_block(alpha: Partition, n: int, d: int) -> IrrepBlock:
+    """Certify the closed-form factors Y_a and drop them; the block holds no array.
+
+    The nu of height d + 1 carries eigenvalue 0 and is recorded as dropped.
+    The factor from _factors is certified against build_Q, one coset a at a
+    time: its rows of Y Y^T from block column a on are compared with Q's block
+    row a and block column a.  The certificate twists the last coset in place
+    as in build_Q; the generators, formed on first read, derive the untwisted
+    factors again.  InconsistencyError is raised unless
+    max |Y Y^T - Q(alpha)| <= 1e-8 d.
+    """
+    m = n - 1
+    nus = branch_up(alpha)
+    labels = [nu for nu in nus if nu.height <= d]
+    dropped = next((nu for nu in nus if nu.height > d), None)
+    eigenvalues = [float(d + col - row) for row, col in (_added_box(alpha, nu) for nu in labels)]
+    factors = _factors(alpha, labels, eigenvalues)
+    w, dim = factors.shape[1:]
+
     if n >= 4:
-        factors[-1] = phi.left(1, untwisted)
+        factors[-1] = young_orthogonal_rep(alpha).left(1, factors[-1])
     Q = build_Q(alpha, n, d).entries
     deviations = []
     for a in range(m):
-        R = factors[a] @ factors[a:].reshape(-1, spans[-1]).T
+        R = factors[a] @ factors[a:].reshape(-1, dim).T
         for D in (R - Q[a * w:(a + 1) * w, a * w:], R - Q[a * w:, a * w:(a + 1) * w].T):
             deviations += [D.max(), -D.min()]
-    factors[-1] = untwisted
     gram_residual = float(np.max(deviations)) / d
     if not gram_residual <= 1e-8:
         raise InconsistencyError(
@@ -265,7 +273,6 @@ def build_block(alpha: Partition, n: int, d: int) -> IrrepBlock:
         eigenvalues=tuple(eigenvalues),
         labels=tuple(labels),
         gram_residual=gram_residual,
-        factors=factors,
         dropped=dropped,
     )
 
@@ -293,10 +300,13 @@ def decompose(n: int, d: int) -> Decomposition:
     """All blocks for (n, d); ValueError, before any is built, past the memory budget."""
     # Each block is charged its n-1 generators of dim^2 floats, which every
     # reader but symmetric_max forms, and its (n-1, dim_phi, dim) factors,
-    # which it keeps until then; Q(alpha) and one coset row of Y Y^T with its
-    # two differences from Q, (n-1) dim_phi^2 floats each, are its build
-    # transients.  Partitions are read lazily, so a size far past the budget
-    # is refused at its first blocks.
+    # which no block holds: the charge bounds the factors formed while the
+    # block is built and again when its generators form.  Q(alpha) and one
+    # coset row of Y Y^T with its two differences from Q, (n-1) dim_phi^2
+    # floats each, are its build transients.  Charging one build's factors and
+    # transients instead would admit (15,2), whose check and channels peaks
+    # are not measured.  Partitions are read lazily, so a size far past the
+    # budget is refused at its first blocks.
     m, need, alphas = n - 1, 2**20, []
     for alpha in _admissible(n, d, n - 2):
         dim, w = sum(nu.dimension for nu in branch_up(alpha) if nu.height <= d), alpha.dimension

@@ -154,13 +154,21 @@ def _directions(W: np.ndarray, N: int) -> np.ndarray:
     """W, one direction of length N or a (k, N) stack with k >= 1, as (k, N) float rows.
 
     The one input rule of the region queries: block_support, support,
-    extreme_points and oracle.full_vs_block_spectrum read their directions
-    here at entry, and ValueError, naming N, refuses any other shape.
+    extreme_points, constrained_max (through _direction) and
+    oracle.full_vs_block_spectrum read their directions here at entry, and
+    ValueError, naming N, refuses any other shape.
     """
     W = np.asarray(W, dtype=float)
     if W.ndim not in (1, 2) or W.shape[-1] != N or not W.size:
         raise ValueError(f"need a direction of length {N} or a (k, {N}) stack; got shape {W.shape}")
     return W.reshape(-1, N)
+
+
+def _direction(w: np.ndarray, N: int) -> np.ndarray:
+    """w, one direction of length N, read by _directions; a stack is a ValueError too."""
+    if np.ndim(w) != 1:
+        raise ValueError(f"need one direction of length {N}; got shape {np.shape(w)}")
+    return _directions(w, N)[0]
 
 
 def _nonzero_directions(W: np.ndarray, N: int) -> np.ndarray:
@@ -447,9 +455,12 @@ def constrained_max(
     fidelity vector.  tol bounds the gap to the Lagrangian dual bound
     h(objective + A^T pi) - pi.b, and the slack that the master LP's slack
     columns leave on the constraints: more slack means they miss the region.
+    The objective and each constraint's a are read by _direction: ValueError,
+    naming N, unless each is one direction of length N.
     """
-    o = np.asarray(objective, dtype=float)
-    A = np.array([a for a, _ in constraints], dtype=float).reshape(-1, len(o))
+    N = dec.clone_count
+    o = _direction(objective, N)
+    A = np.array([_direction(a, N) for a, _ in constraints]).reshape(-1, N)
     b = np.array([rhs for _, rhs in constraints], dtype=float)
     penalty = 1e4 * (1.0 + np.abs(o).sum())
     slack = np.hstack([np.eye(len(b)), -np.eye(len(b))])
@@ -470,6 +481,6 @@ def constrained_max(
             raise InfeasibleError(f"the constraints miss the region by {state['slack']:.2e}")
         return float(state["point"] @ o), state["point"]
 
-    return _generate(dec, extreme_points(dec, _seed_directions(dec.clone_count))[0], master,
+    return _generate(dec, extreme_points(dec, _seed_directions(N))[0], master,
                      lambda pi: o + A.T @ pi, lambda pi, h: (pi @ b - h, pi), settle)
 

@@ -267,7 +267,7 @@ class TestGeneratorArray:
     @pytest.mark.parametrize("n,d", [(3, 2), (4, 3), (5, 3), (6, 3)])
     def test_one_contiguous_float_array(self, n, d):
         for block in decompose(n, d).blocks:
-            Y = block.factors
+            Y = algebra._factors(block.alpha, block.labels, block.eigenvalues)
             assert Y.shape == (n - 1, block.dim_phi, block.dim)
             assert Y.dtype == np.float64 and Y.flags.c_contiguous
             G = block.generators
@@ -275,7 +275,27 @@ class TestGeneratorArray:
             assert G.shape == (n - 1, block.dim, block.dim)
             assert G.dtype == np.float64
             assert G.flags.c_contiguous
-            assert block.factors is None  # released once the store is formed
+
+    @pytest.mark.parametrize("n,d", [(4, 3), (6, 3), (10, 5)])
+    def test_generators_read_the_certified_factors(self, monkeypatch, n, d):
+        # build_block twists its factors in place, so each call's array is copied on return
+        calls = []
+        real = algebra._factors
+
+        def spy(*args):
+            factors = real(*args)
+            calls.append(factors.copy())
+            return factors
+
+        monkeypatch.setattr(algebra, "_factors", spy)
+        dec = decompose(n, d)
+        assert len(calls) == len(dec.blocks)
+        for block in dec.blocks:
+            block.generators
+        assert len(calls) == 2 * len(dec.blocks)
+        for certified, read in zip(calls, calls[len(dec.blocks):]):
+            assert certified.shape == read.shape
+            assert certified.tobytes() == read.tobytes()
 
 
 class TestCloneObservable:

@@ -99,11 +99,25 @@ class TestRefusalsUnderAddressLimit:
 
 
 def test_symmetric_reads_no_generator_under_1_gib():
-    # decompose(11, 4) keeps 277 MiB of factors; its generators would take 1.3 GiB
+    # decompose(11, 4) forms 277 MiB of factors, one block at a time, and holds none;
+    # its generators would take 1.3 GiB
     [result] = run_under_address_limit([["symmetric", "--n", "11", "--d", "4"]], limit=2**30)
     assert result["raised"] is None, result["raised"]
     assert result["rc"] == 0, result["stderr"]
     assert "(Werner reference F = 0.325000, f = 0.460000)" in result["stdout"]
+
+
+def test_decompose_holds_no_factors():
+    # every block's factors at (10, 5) would hold 24.5 MiB; the blocks keep labels only
+    algebra.young_orthogonal_rep.cache_clear()
+    tracemalloc.start()
+    try:
+        dec = algebra.decompose(10, 5)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(dec.blocks) == 18
+    assert held <= 2 * 2**20, f"decompose(10, 5) holds {held / 2**20:.1f} MiB"
 
 
 def _measure(monkeypatch, call):

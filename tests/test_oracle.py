@@ -523,9 +523,10 @@ class TestFullVsBlockSpectrum:
     def test_rejects_broken_decomposition(self, n, d):
         dec = decompose(n, d)
         first = dec.blocks[0]
-        factors = first.factors.copy()  # read before the generators form and release them
-        factors[0] *= np.sqrt(1 + 1e-6)  # B_1 = Y_1^T Y_1 scaled by 1 + 1e-6
-        scaled = dataclasses.replace(first, factors=factors)
+        generators = first.generators.copy()
+        generators[0] *= 1 + 1e-6
+        scaled = dataclasses.replace(first)  # a new block, whose generators are not formed yet
+        vars(scaled)["generators"] = generators
         w = np.ones(n - 1)
         assert full_vs_block_spectrum(dec, w).max_abs_gap < 1e-8
         broken = {

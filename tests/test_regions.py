@@ -193,13 +193,15 @@ class TestSymmetricMax:
 
     @pytest.mark.parametrize("n,d", [(5, 4), (10, 5)])
     def test_forms_no_generators(self, n, d):
-        # decompose keeps the certified factors; the generators form on first read
+        # decompose certifies and drops the factors; the generators form on first read
         dec = decompose(n, d)
         symmetric_max(dec)
         assert not [b.alpha for b in dec.blocks if "generators" in vars(b)]
+        assert not [b.alpha for b in dec.blocks
+                    if any(isinstance(v, np.ndarray) for v in vars(b).values())]
         first = dec.blocks[0]
         assert first.generators is first.generators and "generators" in vars(first)
-        assert first.factors is None
+        assert [k for k, v in vars(first).items() if isinstance(v, np.ndarray)] == ["generators"]
 
 
 class TestPositiveOrthantDominance:
@@ -594,6 +596,19 @@ class TestInputRule:
             oracle.certify(p)
         with pytest.raises(ValueError, match="length 3"):
             oracle.classify(p)
+
+    @pytest.mark.parametrize("objective,constraints", [
+        ([1, 0, 0], [([1, 0], 0.4)]), ([1, 0], []), ([[1, 0, 0]], []),
+        ([1, 0, 0], [([[1, 0, 0]], 0.4)]), ([1, 0, 0], [([1, 0, 0], 0.4), ([1, 0], 0.4)]),
+    ], ids=["constraint-2", "objective-2", "objective-1x3", "constraint-1x3", "ragged"])
+    def test_constrained_max_refuses_a_shape_other_than_N(self, objective, constraints):
+        # without the input rule, (1, 0, 0) with (1, 0) raised NumPy's reshape error, naming no N
+        with pytest.raises(ValueError, match="length 3"):
+            constrained_max(decompose(4, 2), objective, constraints)
+
+    def test_constrained_max_reads_a_valid_query(self):
+        value, point = constrained_max(decompose(4, 2), [1, 0, 0], [([1, 0, 0], 0.4)])
+        assert value == pytest.approx(0.4, abs=1e-9) and point[0] == pytest.approx(0.4, abs=1e-9)
 
     def test_extreme_points_price_a_zero_row(self, dec32, monkeypatch):
         # objective (1, 0) parallel to the constraint F_12 = 0.5: the dual prices
