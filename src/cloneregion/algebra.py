@@ -25,7 +25,9 @@ The Gram-like matrix Q(alpha), evaluated from phi alone, certifies
 the closed form: stacking the Y_a (coset m twisted by phi(s_1) for n >= 4,
 as in build_Q) gives Y Y^T = Q(alpha), and sum_a B_a = diag(d + c(nu/alpha)).
 So Y is a factor of Q whose columns span its eigenspaces with the exact
-eigenvalues, in the canonical Young basis at every n.
+eigenvalues, in the canonical Young basis at every n.  The certificate reads
+Q one block row at a time, as QMatrix.rows() yields it, so no block forms the
+dense (n-1) dim phi square; QMatrix.entries forms it for readers that ask.
 
 A block keeps no array: only the labels, their eigenvalues and the Gram
 residual.  _factors, elementwise gathers free of BLAS, gives the same bits
@@ -83,23 +85,62 @@ def admissible_N_irreps(n: int, d: int) -> list[Partition]:
 
 @dataclass(frozen=True)
 class QMatrix:
-    """Block matrix Q^{ab}_{ij} = d^{delta_ab} phi^alpha[(a,n-1)(a,b)(b,n-1)]_{ij}.
+    """Block matrix Q^{ab}_{ij} = d^{delta_ab} phi^alpha[(a,n-1)(a,b)(b,n-1)]_{ij}, by block rows.
 
-    Row/column index is (a, i) -> (a-1)*dim_phi + i with a = 1..n-1.
+    Row/column index is (a, i) -> (a-1)*dim_phi + i with a = 1..n-1.  rows()
+    yields block row a from block column a on, which is all that the
+    certificate in build_block reads; entries places those strips and their
+    mirrors into the dense (n-1) dim_phi square on first read.
     """
 
     alpha: Partition
     n: int
     d: int
-    entries: np.ndarray
 
     @property
     def dim_phi(self) -> int:
         return self.alpha.dimension
 
+    def rows(self) -> Iterator[np.ndarray]:
+        """Block row a of Q from block column a on, for a = 1..n-1.
+
+        Each strip is a (dim_phi, (n-a) dim_phi) array: d I, then phi((a b))
+        for a < b < n-1, computed as phi((a, b+1)) = phi(s_b) phi((a b)) phi(s_b)
+        by sparse gathers, then the block pairing a with the last coset,
+        phi(s_1) (I at n = 3).
+        """
+        phi = young_orthogonal_rep(self.alpha)
+        w = phi.dim
+        m = self.n - 1
+        eye = np.eye(w)
+        last = phi.left(1, eye) if self.n >= 4 else eye
+        for a in range(1, m + 1):
+            strip = np.empty((w, (m - a + 1) * w))
+            blocks = strip.reshape(w, m - a + 1, w).swapaxes(0, 1)  # blocks[k] is block (a, a+k)
+            blocks[0] = self.d * eye
+            X = eye
+            for b in range(a, m - 1):  # X = phi((a, b+1))
+                X = phi.left(b, X) if b == a else phi.right(phi.left(b, X), b)
+                blocks[b - a + 1] = X
+            if a < m:
+                blocks[-1] = last
+            yield strip
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """The dense Q, block (b, a) = block (a, b); the package reads rows() instead."""
+        m, w = self.n - 1, self.dim_phi
+        Q = np.empty((m * w, m * w))
+        blocks = Q.reshape(m, w, m, w)
+        for a, strip in enumerate(self.rows()):
+            row = strip.reshape(w, m - a, w)
+            blocks[a, :, a:] = row
+            blocks[a:, :, a] = row.swapaxes(0, 1)
+        return Q
+
 
 def build_Q(alpha: Partition, n: int, d: int) -> QMatrix:
-    """Assemble Q(alpha) from the Young orthogonal irrep phi of S(n-2).
+    """Q(alpha) from the Young orthogonal irrep phi of S(n-2), formed lazily.
 
     Block (a, b) is d^{delta_ab} phi^alpha[g_a^-1 (a b) g_b] with coset
     representatives g_a = (a, n-1).  The representative of the last coset is
@@ -109,30 +150,15 @@ def build_Q(alpha: Partition, n: int, d: int) -> QMatrix:
     blocks for a != b equal to phi evaluated on odd permutations throughout,
     matching the sign convention of the published small-n matrices.
 
-    Hence block (a, b) is phi((a b)) for a != b < n-1, computed as
-    phi((a, b+1)) = phi(s_b) phi((a b)) phi(s_b) by sparse gathers, and the
-    blocks pairing a coset with the last one are phi(s_1) (I at n = 3).
+    Hence block (a, b) is phi((a b)) for a != b < n-1, and the blocks pairing
+    a coset with the last one are phi(s_1) (I at n = 3).  The arguments are
+    checked here; QMatrix.rows() forms the blocks one block row at a time.
     """
     if alpha.size != n - 2:
         raise ValueError(f"{alpha} does not partition n-2 = {n - 2}")
     if alpha.height > d:
         raise ValueError(f"{alpha} has height {alpha.height} > d = {d}")
-    phi = young_orthogonal_rep(alpha)
-    w = phi.dim
-    m = n - 1
-    eye = np.eye(w)
-    Q = np.zeros((m * w, m * w))
-    blocks = Q.reshape(m, w, m, w).swapaxes(1, 2)  # blocks[a-1, b-1] is a view
-    for a in range(1, m):
-        blocks[a - 1, a - 1] = d * eye
-        X = eye
-        for b in range(a, m - 1):  # X = phi((a, b+1))
-            X = phi.left(b, X) if b == a else phi.right(phi.left(b, X), b)
-            blocks[a - 1, b] = blocks[b, a - 1] = X
-    last = phi.left(1, eye) if n >= 4 else eye
-    blocks[m - 1, :m - 1] = blocks[:m - 1, m - 1] = last
-    blocks[m - 1, m - 1] = d * eye
-    return QMatrix(alpha, n, d, Q)
+    return QMatrix(alpha, n, d)
 
 
 def _added_box(alpha: Partition, nu: Partition) -> tuple[int, int]:
@@ -233,33 +259,45 @@ def _factors(alpha: Partition, labels: Sequence[Partition],
     return factors
 
 
+def _deviations(R: np.ndarray, strip: np.ndarray) -> list[float]:
+    """max and -min of R - strip, then of R minus the strip with each block transposed.
+
+    R is one coset row of Y Y^T and strip the matching block row of Q, both
+    (dim_phi, k dim_phi); the strip's blocks transposed, a strided view, are
+    Q's block column.  One difference is held at a time, and none past the call.
+    """
+    D = R - strip
+    deviations = [D.max(), -D.min()]
+    blocks = strip.reshape(len(strip), -1, len(strip))
+    np.subtract(R.reshape(blocks.shape), blocks.T, out=D.reshape(blocks.shape))
+    return deviations + [D.max(), -D.min()]
+
+
 def build_block(alpha: Partition, n: int, d: int) -> IrrepBlock:
     """Certify the closed-form factors Y_a and drop them; the block holds no array.
 
     The nu of height d + 1 carries eigenvalue 0 and is recorded as dropped.
     The factor from _factors is certified against build_Q, one coset a at a
-    time: its rows of Y Y^T from block column a on are compared with Q's block
-    row a and block column a.  The certificate twists the last coset in place
-    as in build_Q; the generators, formed on first read, derive the untwisted
-    factors again.  InconsistencyError is raised unless
-    max |Y Y^T - Q(alpha)| <= 1e-8 d.
+    time: its rows R_a = Y_a [Y_a ... Y_{n-1}]^T of Y Y^T are compared with the
+    strip of Q that QMatrix.rows() yields for a, block row a from block column
+    a on, and with that strip's blocks transposed, Q's block column a.  No
+    block forms the dense Q: one strip, one R_a and one difference are held at
+    a time.  The certificate twists the last coset in place as in build_Q; the
+    generators, formed on first read, derive the untwisted factors again.
+    InconsistencyError is raised unless max |Y Y^T - Q(alpha)| <= 1e-8 d.
     """
-    m = n - 1
     nus = branch_up(alpha)
     labels = [nu for nu in nus if nu.height <= d]
     dropped = next((nu for nu in nus if nu.height > d), None)
     eigenvalues = [float(d + col - row) for row, col in (_added_box(alpha, nu) for nu in labels)]
     factors = _factors(alpha, labels, eigenvalues)
-    w, dim = factors.shape[1:]
+    dim = factors.shape[2]
 
     if n >= 4:
         factors[-1] = young_orthogonal_rep(alpha).left(1, factors[-1])
-    Q = build_Q(alpha, n, d).entries
     deviations = []
-    for a in range(m):
-        R = factors[a] @ factors[a:].reshape(-1, dim).T
-        for D in (R - Q[a * w:(a + 1) * w, a * w:], R - Q[a * w:, a * w:(a + 1) * w].T):
-            deviations += [D.max(), -D.min()]
+    for a, strip in enumerate(build_Q(alpha, n, d).rows()):
+        deviations += _deviations(factors[a] @ factors[a:].reshape(-1, dim).T, strip)
     gram_residual = float(np.max(deviations)) / d
     if not gram_residual <= 1e-8:
         raise InconsistencyError(
@@ -301,12 +339,15 @@ def decompose(n: int, d: int) -> Decomposition:
     # Each block is charged its n-1 generators of dim^2 floats, which every
     # reader but symmetric_max forms, and its (n-1, dim_phi, dim) factors,
     # which no block holds: the charge bounds the factors formed while the
-    # block is built and again when its generators form.  Q(alpha) and one
-    # coset row of Y Y^T with its two differences from Q, (n-1) dim_phi^2
-    # floats each, are its build transients.  Charging one build's factors and
-    # transients instead would admit (15,2), whose check and channels peaks
-    # are not measured.  Partitions are read lazily, so a size far past the
-    # budget is refused at its first blocks.
+    # block is built and again when its generators form.  The build
+    # transients are charged as a dense Q(alpha) and three more (n-1) dim_phi^2
+    # floats; the certificate holds one strip of Q, one coset row of Y Y^T and
+    # one difference, at most (n-1) dim_phi^2 floats each, so the Q term
+    # over-charges.  It is kept: dropping it (2671 -> about 1560 MiB at
+    # (15,2)), or charging one build's factors and transients instead, would
+    # admit (15,2), whose check and channels peaks are not measured.
+    # Partitions are read lazily, so a size far past the budget is refused at
+    # its first blocks.
     m, need, alphas = n - 1, 2**20, []
     for alpha in _admissible(n, d, n - 2):
         dim, w = sum(nu.dimension for nu in branch_up(alpha) if nu.height <= d), alpha.dimension

@@ -106,6 +106,21 @@ class TestBuildQ:
                 else:
                     np.testing.assert_allclose(Q, reference_Q(alpha, n, d), rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+    def test_rows_are_the_upper_block_triangle_of_entries(self, n):
+        for d in (2, max(n - 2, 3)):
+            for alpha in admissible_M_irreps(n, d):
+                Q = build_Q(alpha, n, d)
+                M, w = Q.entries, Q.dim_phi
+                strips = list(Q.rows())
+                assert len(strips) == n - 1
+                for a, strip in enumerate(strips):
+                    np.testing.assert_array_equal(strip, M[a * w : (a + 1) * w, a * w :])
+                    # block (b, a) mirrors block (a, b)
+                    mirrored = strip.reshape(w, -1, w).swapaxes(0, 1).reshape(-1, w)
+                    np.testing.assert_array_equal(M[a * w :, a * w : (a + 1) * w], mirrored)
+                np.testing.assert_allclose(M, M.T, rtol=0, atol=1e-12)
+
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             build_Q(P(2), 3, 2)  # wrong size
@@ -185,15 +200,33 @@ class TestBuildBlock:
             assert (block.dropped is not None) == (alpha.height == d)
             assert block.gram_residual <= 1e-10
 
+    @pytest.mark.parametrize("n,d", [(4, 3), (6, 3), (8, 4), (10, 5)])
+    def test_residual_matches_the_dense_certificate(self, n, d):
+        # the certificate as it read the dense Q: each coset row of Y Y^T
+        # against Q's block row and block column
+        for alpha in admissible_M_irreps(n, d):
+            block = build_block(alpha, n, d)
+            factors = algebra._factors(alpha, block.labels, block.eigenvalues)
+            factors[-1] = young_orthogonal_rep(alpha).left(1, factors[-1])
+            Q = build_Q(alpha, n, d).entries
+            w, dim = factors.shape[1:]
+            deviations = []
+            for a in range(n - 1):
+                R = factors[a] @ factors[a:].reshape(-1, dim).T
+                row, column = Q[a * w : (a + 1) * w, a * w :], Q[a * w :, a * w : (a + 1) * w]
+                for D in (R - row, R - column.T):
+                    deviations += [D.max(), -D.min()]
+            assert block.gram_residual == float(np.max(deviations)) / d
+
     def test_unlabelable_spectrum_raises(self, monkeypatch):
         # a shift of 3/4 breaks Y Y^T = Q far beyond the 1e-8 d certificate
-        original = algebra.build_Q
+        class Shifted(algebra.QMatrix):
+            def rows(self):
+                for strip in super().rows():
+                    strip[:, : self.dim_phi] += 0.75 * np.eye(self.dim_phi)  # the diagonal block
+                    yield strip
 
-        def shifted(alpha, n, d):
-            Q = original(alpha, n, d)
-            return algebra.QMatrix(alpha, n, d, Q.entries + 0.75 * np.eye(len(Q.entries)))
-
-        monkeypatch.setattr(algebra, "build_Q", shifted)
+        monkeypatch.setattr(algebra, "build_Q", Shifted)
         with pytest.raises(InconsistencyError, match="misses Y Y\\^T = Q"):
             build_block(P(2, 1), 5, 3)
 
@@ -212,16 +245,18 @@ class TestBuildBlock:
 
     @pytest.mark.parametrize("alpha", admissible_M_irreps(6, 3), ids=str)
     def test_one_lower_triangle_entry_of_Q_is_compared(self, monkeypatch, alpha):
-        # Q[-1, 0] lies below the diagonal, in the last coset's block row;
-        # its mirror Q[0, -1] is left as it is
-        original = algebra.build_Q
+        # the strips hold Q's upper block triangle only; the entry of the first
+        # strip that entries mirrors to Q[-1, 0], below the diagonal in the last
+        # coset's block row, is perturbed
+        class Perturbed(algebra.QMatrix):
+            def rows(self):
+                for a, strip in enumerate(super().rows()):
+                    if a == 0:
+                        strip[-1, -self.dim_phi] += 1e-3
+                    yield strip
 
-        def perturbed(alpha, n, d):
-            Q = original(alpha, n, d).entries.copy()
-            Q[-1, 0] += 1e-3
-            return algebra.QMatrix(alpha, n, d, Q)
-
-        monkeypatch.setattr(algebra, "build_Q", perturbed)
+        assert Perturbed(alpha, 6, 3).entries[-1, 0] == build_Q(alpha, 6, 3).entries[-1, 0] + 1e-3
+        monkeypatch.setattr(algebra, "build_Q", Perturbed)
         with pytest.raises(InconsistencyError, match="misses Y Y\\^T = Q"):
             build_block(alpha, 6, 3)
 

@@ -120,6 +120,20 @@ def test_decompose_holds_no_factors():
     assert held <= 2 * 2**20, f"decompose(10, 5) holds {held / 2**20:.1f} MiB"
 
 
+@pytest.mark.parametrize("size,limit_mib", [((10, 5), 9), ((14, 2), 90)], ids=["10-5", "14-2"])
+def test_decompose_forms_no_dense_Q(size, limit_mib):
+    # the certificate reads Q(alpha) one block row at a time; the dense Q of the
+    # largest block, alpha = (7, 5) at (14, 2), alone would take 113.7 MiB
+    algebra.young_orthogonal_rep.cache_clear()
+    tracemalloc.start()
+    try:
+        algebra.decompose(*size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mib * 2**20, f"decompose{size} peaks at {peak / 2**20:.1f} MiB"
+
+
 def _measure(monkeypatch, call):
     """(tracemalloc peak above the start, largest prediction made) for call()."""
     predictions = []
