@@ -20,7 +20,6 @@ from .algebra import (
     InconsistencyError,
     IrrepBlock,
     QMatrix,
-    admissible_M_irreps,
     admissible_N_irreps,
     build_Q,
     build_block,
@@ -39,7 +38,6 @@ __all__ = [
     "InconsistencyError",
     "IrrepBlock",
     "QMatrix",
-    "admissible_M_irreps",
     "admissible_N_irreps",
     "build_Q",
     "build_block",

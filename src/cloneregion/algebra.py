@@ -73,11 +73,6 @@ def _admissible(n: int, d: int, m: int) -> Iterator[Partition]:
     return partitions_of(m, d)
 
 
-def admissible_M_irreps(n: int, d: int) -> list[Partition]:
-    """Partitions of n-2 with height <= d, canonical order."""
-    return list(_admissible(n, d, n - 2))
-
-
 def admissible_N_irreps(n: int, d: int) -> list[Partition]:
     """Partitions of n-1 with height <= d, canonical order."""
     return list(_admissible(n, d, n - 1))
@@ -196,10 +191,6 @@ class IrrepBlock:
     @property
     def dim_phi(self) -> int:
         return self.alpha.dimension
-
-    @property
-    def clone_count(self) -> int:
-        return self.n - 1
 
     @cached_property
     def generators(self) -> np.ndarray:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 import numpy.random  # NumPy 2 loads it lazily; load it with the package, not on first draw
@@ -166,12 +167,12 @@ def charge_orbits(n: int, d: int, held: int = 0) -> list[tuple]:
     check holds while the sectors are built.  ValueError, naming type and
     size, at the first past the memory budget (larger ones may follow).
     """
-    kept = d * (d ** (n - 1) - (d - 1) ** (n - 1))  # the states with leg 1's colour on legs 2..n
     out = []
     for lam in partitions_of(n - 2, d):
         repeats = math.prod(map(math.factorial, Counter(lam.parts).values()))
-        # the arrangements of q + {c}, summed over c: m = (n-1)!/prod_j lambda_j! for c not in q
-        m = math.factorial(n - 1) // math.prod(map(math.factorial, lam.parts))
+        # the arrangements of q + {c}, summed over c: m = (n-1)!/prod_j lambda_j! for c not in q,
+        # (n-1) times a multinomial of n - 2 as exact binomials
+        m = (n - 1) * math.prod(map(math.comb, accumulate(lam.parts), lam.parts))
         size = sum(m // (p + 1) for p in lam.parts) + (d - lam.height) * m
         # the matrices of one chunk, eigvalsh's copy and its workspace; the
         # enumeration, and the entries of the n - 1 X_k
@@ -180,6 +181,7 @@ def charge_orbits(n: int, d: int, held: int = 0) -> list[tuple]:
                        f"the charge sectors of (C^{d})^{n}, at the sector of type {lam.parts} "
                        f"and size {size} (larger ones may follow),")
         out.append((lam, math.perm(d, lam.height) // repeats, size))
+    kept = d * (d ** (n - 1) - (d - 1) ** (n - 1))  # the states with leg 1's colour on legs 2..n
     if (covered := sum(orbit * size for _, orbit, size in out)) != kept:
         raise InconsistencyError(f"the charge orbits cover {covered} states, not {kept}")
     return out
@@ -215,10 +217,9 @@ def max_entangled(d: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ChannelSample:
-    """Isometry C^d -> (C^d)^{x N} defining a cloning channel, plus its seed."""
+    """Isometry C^d -> (C^d)^{x N} defining a cloning channel."""
 
     isometry: np.ndarray
-    seed: int
     d: int
     N: int
 
@@ -247,7 +248,7 @@ def haar_isometry(d: int, N: int, seed: int) -> ChannelSample:
     Q, R = np.linalg.qr(G)
     phases = np.diag(R) / np.abs(np.diag(R))
     W = Q * phases.conj()
-    return ChannelSample(W, seed, d, N)
+    return ChannelSample(W, d, N)
 
 
 def choi_state(ch: ChannelSample) -> DenseOperator:
@@ -318,7 +319,7 @@ def special_states(kind: str, n: int, d: int, j: int | None = None) -> DenseOper
         W = np.zeros((d**N, d), dtype=complex)
         for i in range(d):
             W[i * d ** (n - j), i] = 1.0  # |i> at clone j, |0> on other clones
-        return choi_state(ChannelSample(W, -1, d, N))
+        return choi_state(ChannelSample(W, d, N))
     raise ValueError(f"unknown special state kind: {kind!r}")
 
 

@@ -48,16 +48,6 @@ class InfeasibleError(RuntimeError):
     """The constraint set has no solution inside the region."""
 
 
-def fidelity_vector(block: IrrepBlock, psi: np.ndarray) -> np.ndarray:
-    """(F_12,...,F_1n) for a real unit vector in the block: F_1k = psi^T B_{k-1} psi / d."""
-    psi = np.asarray(psi, dtype=float)
-    if psi.shape != (block.dim,):
-        raise ValueError(f"state length {psi.shape} != block dimension {block.dim}")
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
-        raise ValueError("state must be a unit vector")
-    return block.fidelities(psi)
-
-
 def _sphere_grid(dim: int, count: int) -> np.ndarray:
     """Deterministic points on the unit sphere S^{dim-1}: a grid for dim 2 and 3.
 
@@ -156,11 +146,13 @@ def _directions(W: np.ndarray, N: int) -> np.ndarray:
     The one input rule of the region queries: block_support, support,
     extreme_points, constrained_max (through _direction) and
     oracle.full_vs_block_spectrum read their directions here at entry, and
-    ValueError, naming N, refuses any other shape.
+    ValueError, naming N, refuses any other shape and any entry NaN or infinite.
     """
     W = np.asarray(W, dtype=float)
     if W.ndim not in (1, 2) or W.shape[-1] != N or not W.size:
         raise ValueError(f"need a direction of length {N} or a (k, {N}) stack; got shape {W.shape}")
+    if not np.all(np.isfinite(W)):
+        raise ValueError(f"need finite directions of length {N}")
     return W.reshape(-1, N)
 
 
@@ -388,11 +380,12 @@ class MembershipOracle:
 
         InconsistencyError if the bracket is inverted by more than tol, or if
         an inside or boundary certificate misses p by more than tol.
-        ValueError unless p has shape (N,): one fidelity tuple (F_12, ..., F_1n).
+        ValueError unless p is one fidelity tuple (F_12, ..., F_1n): shape (N,),
+        every entry finite.
         """
         p = np.asarray(p, dtype=float)
-        if p.shape != self.center.shape:
-            raise ValueError(f"need a point of length {len(self.center)}; got shape {p.shape}")
+        if p.shape != self.center.shape or not np.all(np.isfinite(p)):
+            raise ValueError(f"need a finite point of length {len(self.center)}; got shape {p.shape}")
         u = p - self.center
         j = int(np.argmax(self.cuts @ u))
         lower, cut = float(self.cuts[j] @ u), self.cuts[j]

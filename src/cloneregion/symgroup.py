@@ -3,15 +3,16 @@
 Irreducible representations are realized in Young orthogonal form: generator
 images for the adjacent transpositions s_i = (i, i+1) are built from axial
 distances between standard tableaux, so every generator matrix is real,
-symmetric and orthogonal.  Dimensions and hook lengths use exact integer
-arithmetic; floating point enters only in the representation matrices.
+symmetric and orthogonal, and applied by sparse gathers.  Dimensions use
+exact integer binomials; floating point enters only in the representations.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from itertools import accumulate
 from typing import Iterator
 
 import numpy as np
@@ -41,34 +42,39 @@ class Partition:
     def height(self) -> int:
         return len(self.parts)
 
-    def hook_lengths(self) -> list[list[int]]:
-        """Hook length of every cell of the Young diagram."""
-        parts = self.parts
-        cols = [sum(1 for p in parts if p > j) for j in range(parts[0])]
-        return [
-            [(parts[i] - j - 1) + (cols[j] - i - 1) + 1 for j in range(parts[i])]
-            for i in range(len(parts))
-        ]
+    @property
+    def _shifted(self) -> tuple[list[int], int]:
+        """The shifted parts l_i = lambda_i + k - 1 - i (k parts) and prod_{i<j} (l_i - l_j)."""
+        k = self.height
+        l = [p + k - 1 - i for i, p in enumerate(self.parts)]
+        return l, math.prod(a - b for i, a in enumerate(l) for b in l[i + 1:])
 
     @property
     def dimension(self) -> int:
-        """Dimension of the associated symmetric-group irrep (hook length rule)."""
-        prod = 1
-        for row in self.hook_lengths():
-            for h in row:
-                prod *= h
-        dim, rem = divmod(math.factorial(self.size), prod)
-        assert rem == 0
-        return dim
+        """Dimension of the associated symmetric-group irrep (Frobenius' formula).
+
+        n! prod_{i<j} (l_i - l_j) / prod_i l_i!, where n! / prod_i l_i! is the
+        multinomial (sum l)! / prod_i l_i!, a product of binomials, over
+        (n + 1) ... (sum l), and sum l = n + k(k-1)/2.  So a one- or two-row
+        shape of any size costs microseconds.
+        """
+        l, vandermonde = self._shifted
+        multinomial = math.prod(map(math.comb, accumulate(l), l))
+        return vandermonde * multinomial // math.perm(sum(l), len(l) * (len(l) - 1) // 2)
 
     def unitary_dimension(self, d: int) -> int:
-        """Dimension s_alpha(1^d) of the U(d) irrep (hook content rule); 0 if height > d."""
-        num = den = 1
-        for i, row in enumerate(self.hook_lengths()):
-            for j, h in enumerate(row):
-                num *= d + j - i
-                den *= h
-        return num // den  # the cell (d, 0) contributes 0 when height > d
+        """Dimension s_alpha(1^d) of the U(d) irrep (Weyl's formula); 0 if height > d.
+
+        prod_{i<j} (l_i - l_j) / (j - i) over alpha padded to d parts.  With the
+        k <= d shifted parts l_i above, this is prod_{i<j<k} (l_i - l_j) times
+        prod_{i<k} C(l_i + d - k, l_i) (d-k)! / (d-1-i)!, in exact integers.
+        """
+        k = self.height
+        if k > d:
+            return 0
+        l, vandermonde = self._shifted
+        num = vandermonde * math.prod(math.comb(x + d - k, x) for x in l)
+        return num // math.prod(math.perm(d - 1 - i, k - 1 - i) for i in range(k))
 
     def __repr__(self):
         return f"Partition{self.parts}"
@@ -203,15 +209,6 @@ def _tableau_words(alpha: Partition) -> tuple[np.ndarray, np.ndarray]:
     return words, cols
 
 
-def standard_tableaux(alpha: Partition) -> list[tuple[tuple[int, ...], ...]]:
-    """Standard Young tableaux of shape alpha, ordered by their row-index word."""
-    letters = np.arange(1, alpha.size + 1)
-    return [
-        tuple(tuple(int(k) for k in letters[word == r]) for r in range(alpha.height))
-        for word in _tableau_words(alpha)[0]
-    ]
-
-
 @dataclass(frozen=True)
 class OrthogonalRep:
     """Young orthogonal form irrep of S(m) for m = size of the partition.
@@ -237,19 +234,6 @@ class OrthogonalRep:
     @property
     def dim(self) -> int:
         return len(self.words)
-
-    @cached_property
-    def matrices(self) -> tuple[np.ndarray, ...]:
-        """Dense images of s_1, ..., s_{m-1}."""
-        k = np.arange(self.dim)
-        mats = []
-        for diag, partner, off in zip(self.diag, self.partner, self.off):
-            M = np.zeros((self.dim, self.dim))
-            M[k, k] = diag
-            moved = partner != k
-            M[partner[moved], k[moved]] = off[moved]
-            mats.append(M)
-        return tuple(mats)
 
     def left(self, i: int, X: np.ndarray) -> np.ndarray:
         """image(s_i) @ X, by gathering rows."""
@@ -293,5 +277,5 @@ def rep_matrix(rep: OrthogonalRep, sigma: Permutation) -> np.ndarray:
         )
     M = np.eye(rep.dim)
     for i in sigma.adjacent_word():
-        M = M @ rep.matrices[i - 1]
+        M = rep.right(M, i)
     return M

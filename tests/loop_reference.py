@@ -1,8 +1,11 @@
 """Independent reference constructions for the vectorised and closed-form code.
 
-The Young orthogonal form is built tableau by tableau with Python loops, Q(alpha)
-from Permutation words multiplied out densely, and each block by eigendecomposing
-Q(alpha) and labeling its eigenvectors with the predicted spectrum d + c(nu/alpha).
+Irrep dimensions come from the hook length formula and the hook content rule
+(hook_dimension, hook_content_dimension), where the package uses Frobenius'
+and Weyl's formulas as binomials.  The Young orthogonal form is built tableau
+by tableau with Python loops, Q(alpha) from Permutation words multiplied out
+densely, and each block by eigendecomposing Q(alpha) and labeling its
+eigenvectors with the predicted spectrum d + c(nu/alpha).
 None of this calls the package's Young form, build_Q or build_block.
 
 The oracle's charge sectors are enumerated all at once from index arithmetic
@@ -57,6 +60,32 @@ def loop_standard_tableaux(alpha: Partition) -> list[tuple[tuple[int, ...], ...]
 
     fill(1, [[] for _ in parts], [0] * len(parts))
     return out
+
+
+def loop_hook_lengths(alpha: Partition) -> list[list[int]]:
+    """Hook length of every cell of the Young diagram, row by row."""
+    parts = alpha.parts
+    cols = [sum(1 for p in parts if p > j) for j in range(parts[0])]
+    return [[(parts[i] - j - 1) + (cols[j] - i - 1) + 1 for j in range(parts[i])]
+            for i in range(len(parts))]
+
+
+def hook_dimension(alpha: Partition) -> int:
+    """dim of the S(n) irrep alpha by the hook length formula, n! / prod of hooks."""
+    hooks = math.prod(h for row in loop_hook_lengths(alpha) for h in row)
+    dim, rem = divmod(math.factorial(alpha.size), hooks)
+    assert rem == 0
+    return dim
+
+
+def hook_content_dimension(alpha: Partition, d: int) -> int:
+    """dim of the U(d) irrep alpha by the hook content rule, prod (d + c) / prod of hooks."""
+    num = den = 1
+    for i, row in enumerate(loop_hook_lengths(alpha)):
+        for j, h in enumerate(row):
+            num *= d + j - i
+            den *= h
+    return num // den  # the cell (d, 0) contributes 0 when height > d
 
 
 def loop_young_matrices(alpha: Partition) -> list[np.ndarray]:

@@ -7,14 +7,13 @@ from scipy.linalg import block_diag
 from cloneregion import algebra
 from cloneregion.algebra import (
     InconsistencyError,
-    admissible_M_irreps,
     admissible_N_irreps,
     build_Q,
     build_block,
     decompose,
     decomposition_to_dict,
 )
-from cloneregion.symgroup import Partition, branch_up, young_orthogonal_rep
+from cloneregion.symgroup import Partition, branch_up, partitions_of, young_orthogonal_rep
 
 from loop_reference import (
     blocks_equivalent,
@@ -35,9 +34,10 @@ def _added_row(alpha, nu):
 
 class TestAdmissibleIrreps:
     def test_M_examples(self):
-        assert [a.parts for a in admissible_M_irreps(3, 2)] == [(1,)]
-        assert [a.parts for a in admissible_M_irreps(4, 2)] == [(2,), (1, 1)]
-        assert [a.parts for a in admissible_M_irreps(4, 1)] == [(2,)]
+        # the blocks are labeled by the partitions of n - 2 with height <= d, in canonical order
+        assert [b.alpha.parts for b in decompose(3, 2).blocks] == [(1,)]
+        assert [b.alpha.parts for b in decompose(4, 2).blocks] == [(2,), (1, 1)]
+        assert [b.alpha.parts for b in decompose(4, 1).blocks] == [(2,)]
 
     def test_N_examples(self):
         assert [v.parts for v in admissible_N_irreps(4, 2)] == [(3,), (2, 1)]
@@ -51,7 +51,9 @@ class TestAdmissibleIrreps:
 
     def test_invalid_n(self):
         with pytest.raises(ValueError):
-            admissible_M_irreps(2, 2)
+            decompose(2, 2)
+        with pytest.raises(ValueError):
+            admissible_N_irreps(2, 2)
 
 
 class TestBuildQ:
@@ -80,7 +82,7 @@ class TestBuildQ:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_structure(self, n, d):
-        for alpha in admissible_M_irreps(n, d):
+        for alpha in partitions_of(n - 2, d):
             Q = build_Q(alpha, n, d)
             M = Q.entries
             w = Q.dim_phi
@@ -99,7 +101,7 @@ class TestBuildQ:
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
     def test_matches_reference(self, n):
         for d in (2, max(n - 2, 3)):  # the larger d admits every alpha
-            for alpha in admissible_M_irreps(n, d):
+            for alpha in partitions_of(n - 2, d):
                 Q = build_Q(alpha, n, d).entries
                 if n <= 4:
                     np.testing.assert_array_equal(Q, reference_Q(alpha, n, d))
@@ -109,7 +111,7 @@ class TestBuildQ:
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
     def test_rows_are_the_upper_block_triangle_of_entries(self, n):
         for d in (2, max(n - 2, 3)):
-            for alpha in admissible_M_irreps(n, d):
+            for alpha in partitions_of(n - 2, d):
                 Q = build_Q(alpha, n, d)
                 M, w = Q.entries, Q.dim_phi
                 strips = list(Q.rows())
@@ -132,7 +134,7 @@ class TestBuildBlock:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_eigen_structure(self, n, d):
-        for alpha in admissible_M_irreps(n, d):
+        for alpha in partitions_of(n - 2, d):
             block = build_block(alpha, n, d)
             Q = build_Q(alpha, n, d)
             expected = branch_up(alpha)
@@ -171,7 +173,7 @@ class TestBuildBlock:
 
     def test_cross_traces_clone_symmetric(self):
         for n, d in [(3, 2), (3, 4), (4, 2), (4, 3), (5, 3)]:
-            for alpha in admissible_M_irreps(n, d):
+            for alpha in partitions_of(n - 2, d):
                 B = build_block(alpha, n, d).generators
                 offdiag = [
                     np.trace(B[a] @ B[b])
@@ -192,7 +194,7 @@ class TestBuildBlock:
         def content(p):
             return sum(j - i for i, row in enumerate(p.parts) for j in range(row))
 
-        for alpha in admissible_M_irreps(n, d):
+        for alpha in partitions_of(n - 2, d):
             block = build_block(alpha, n, d)
             expect = [float(d + content(nu) - content(alpha)) for nu in block.labels]
             assert list(block.eigenvalues) == expect
@@ -204,7 +206,7 @@ class TestBuildBlock:
     def test_residual_matches_the_dense_certificate(self, n, d):
         # the certificate as it read the dense Q: each coset row of Y Y^T
         # against Q's block row and block column
-        for alpha in admissible_M_irreps(n, d):
+        for alpha in partitions_of(n - 2, d):
             block = build_block(alpha, n, d)
             factors = algebra._factors(alpha, block.labels, block.eigenvalues)
             factors[-1] = young_orthogonal_rep(alpha).left(1, factors[-1])
@@ -243,7 +245,7 @@ class TestBuildBlock:
         with pytest.raises(InconsistencyError, match="misses Y Y\\^T = Q"):
             build_block(P(2, 1), 5, 3)
 
-    @pytest.mark.parametrize("alpha", admissible_M_irreps(6, 3), ids=str)
+    @pytest.mark.parametrize("alpha", list(partitions_of(4, 3)), ids=str)
     def test_one_lower_triangle_entry_of_Q_is_compared(self, monkeypatch, alpha):
         # the strips hold Q's upper block triangle only; the entry of the first
         # strip that entries mirrors to Q[-1, 0], below the diagonal in the last
@@ -265,7 +267,7 @@ class TestClosedForm:
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
     @pytest.mark.parametrize("d", [2, 3, 4, 6])
     def test_matches_eigh_reference(self, n, d):
-        for alpha in admissible_M_irreps(n, d):
+        for alpha in partitions_of(n - 2, d):
             block = build_block(alpha, n, d)
             eigenvalues, labels, generators = eigh_block(alpha, n, d)
             assert list(block.eigenvalues) == eigenvalues
@@ -284,7 +286,7 @@ class TestClosedForm:
     def test_canonical_young_basis(self, n, d):
         # the basis is fixed by the Young tableaux, whatever the eigensolver
         m = n - 1
-        for alpha in admissible_M_irreps(n, d):
+        for alpha in partitions_of(n - 2, d):
             block = build_block(alpha, n, d)
             # coordinates (nu, S) whose tableau S holds m outside the box nu/alpha
             outside = np.concatenate([
@@ -294,7 +296,8 @@ class TestClosedForm:
             B = block.generators
             assert not np.any(B[m - 1][outside]) and not np.any(B[m - 1][:, outside])
             for a in range(1, m):
-                psi = block_diag(*[young_orthogonal_rep(nu).matrices[a - 1] for nu in block.labels])
+                psi = block_diag(*[young_orthogonal_rep(nu).left(a, np.eye(nu.dimension))
+                                   for nu in block.labels])
                 np.testing.assert_allclose(psi @ B[a] @ psi, B[a - 1], rtol=0, atol=1e-13 * d)
 
 

@@ -293,6 +293,16 @@ class TestArgumentValidation:
         assert code == 2 and "memory budget of 2048 MiB" in err
         assert out == ""
 
+    @pytest.mark.parametrize("command,n,d", [("irreps", 10**6, 3), ("symmetric", 10**6, 2)])
+    def test_refused_at_a_million_within_a_second(self, capsys, no_eigensolve, command, n, d):
+        # refused at the first block, whose dimensions must not cost n!: with the hook rule
+        # symmetric --n 300000 --d 2 took 101 s
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "--n", str(n), "--d", str(d))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and "memory budget of 2048 MiB" in err
+        assert out == ""
+
     def test_oracle_cap(self, capsys, no_eigensolve):
         # a Haar isometry C^100 -> (C^100)^{x 5} holds 10^12 complex entries
         code, out, err = run(capsys, "channels", "--n", "6", "--d", "100", "--samples", "1")
@@ -313,7 +323,7 @@ class TestArgumentValidation:
             assert code == 2 and "charge sectors" in err and "memory budget" in err
             assert out == ""
 
-    @pytest.mark.parametrize("n,d", [(70, 2), (100, 2), (60, 60), (100, 100)])
+    @pytest.mark.parametrize("n,d", [(70, 2), (100, 2), (60, 60), (100, 100), (10**6, 2)])
     def test_check_refuses_large_n_at_its_first_oversized_sector(self, n, d):
         # a CLI child with decompose patched to raise: the refusal builds no block and
         # enumerates the sectors up to the first one past the budget, not every type

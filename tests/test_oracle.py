@@ -364,7 +364,7 @@ class TestChoiState:
         d = 2
         W = np.zeros((4, 2), dtype=complex)
         W[0, 0] = W[2, 1] = 1.0
-        rho = choi_state(ChannelSample(W, -1, d, 2))
+        rho = choi_state(ChannelSample(W, d, 2))
         r12 = _ptrace_to(rho.matrix, (1, 2), 3, d)
         psi = max_entangled(d)
         np.testing.assert_allclose(r12, np.outer(psi, psi), atol=1e-12)

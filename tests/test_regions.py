@@ -4,6 +4,7 @@ from scipy.optimize import minimize_scalar
 
 from cloneregion import regions
 from cloneregion.algebra import InconsistencyError, decompose
+from cloneregion.oracle import full_vs_block_spectrum
 from cloneregion.regions import (
     InfeasibleError,
     GAP_FLOOR,
@@ -12,7 +13,6 @@ from cloneregion.regions import (
     build_hull,
     constrained_max,
     extreme_points,
-    fidelity_vector,
     sample_block_region,
     support,
     symmetric_max,
@@ -35,7 +35,7 @@ class TestFidelityVector:
     def test_top_eigenvector_reaches_one(self, dec32):
         block = dec32.blocks[0]
         _, vecs = np.linalg.eigh(block.generators[0])
-        F = fidelity_vector(block, vecs[:, -1])
+        F = block.fidelities(vecs[:, -1])
         assert F[0] == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("d", [2, 3, 5])
@@ -44,18 +44,11 @@ class TestFidelityVector:
         hi = (d + 1) / (2 * d)
         lo = (d - 1) / (2 * d)
         np.testing.assert_allclose(
-            fidelity_vector(block, np.array([1.0, 0.0])), [hi, hi], atol=1e-12
+            block.fidelities(np.array([1.0, 0.0])), [hi, hi], atol=1e-12
         )
         np.testing.assert_allclose(
-            fidelity_vector(block, np.array([0.0, 1.0])), [lo, lo], atol=1e-12
+            block.fidelities(np.array([0.0, 1.0])), [lo, lo], atol=1e-12
         )
-
-    def test_input_validation(self, dec32):
-        block = dec32.blocks[0]
-        with pytest.raises(ValueError):
-            fidelity_vector(block, np.array([1.0, 1.0]))  # not unit
-        with pytest.raises(ValueError):
-            fidelity_vector(block, np.array([1.0, 0.0, 0.0]))
 
 
 class TestBlockMapsVsLoops:
@@ -98,7 +91,7 @@ class TestSampleBlockRegion:
         sample = sample_block_region(dec32.blocks[0], 64)
         for state, point in zip(sample.states, sample.points):
             np.testing.assert_allclose(
-                fidelity_vector(dec32.blocks[0], state), point, atol=1e-12
+                dec32.blocks[0].fidelities(state), point, atol=1e-12
             )
 
     def test_coordinates_in_range(self):
@@ -586,6 +579,33 @@ class TestInputRule:
         # reshape(-1, N) read np.ones(6) at (4,2) as two copies of (1, 1, 1): 2.0
         with pytest.raises(ValueError, match=f"length {n - 1}"):
             query(decompose(n, d), W)
+
+    # NaN and infinite entries, alone and as one row of a stack
+    NON_FINITE = [[np.nan, 1, 0], [np.inf, 1, 0], [1, -np.inf, 0], [[1, 0, 0], [0, np.nan, 1]]]
+    NON_FINITE_IDS = ["nan", "inf", "-inf", "stack-nan"]
+
+    @pytest.mark.parametrize("query", [block_support, support, extreme_points, full_vs_block_spectrum],
+                             ids=["block_support", "support", "extreme_points",
+                                  "full_vs_block_spectrum"])
+    @pytest.mark.parametrize("W", NON_FINITE, ids=NON_FINITE_IDS)
+    def test_refuses_a_non_finite_direction(self, query, W):
+        # eigvalsh raised "Eigenvalues did not converge", naming no input
+        with pytest.raises(ValueError, match="finite directions of length 3"):
+            query(decompose(4, 2), W)
+
+    @pytest.mark.parametrize("w", NON_FINITE[:3], ids=NON_FINITE_IDS[:3])
+    def test_constrained_max_and_certify_refuse_non_finite_entries(self, w):
+        # linprog raised its own ValueError after RuntimeWarnings
+        dec = decompose(4, 2)
+        with pytest.raises(ValueError, match="finite directions of length 3"):
+            constrained_max(dec, w)
+        with pytest.raises(ValueError, match="finite directions of length 3"):
+            constrained_max(dec, [1, 0, 0], [(w, 0.4)])
+        oracle = MembershipOracle(dec)
+        with pytest.raises(ValueError, match="finite point of length 3"):
+            oracle.certify(np.array(w) / 4)
+        with pytest.raises(ValueError, match="finite point of length 3"):
+            oracle.classify(np.array(w) / 4)
 
     @pytest.mark.parametrize("p", [[0.3], np.ones(4), np.ones((1, 3)), 0.3],
                              ids=["1", "4", "1x3", "scalar"])

@@ -1,4 +1,6 @@
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -9,15 +11,25 @@ from cloneregion.symgroup import (
     branch_up,
     partitions_of,
     rep_matrix,
-    standard_tableaux,
     young_orthogonal_rep,
 )
 
-from loop_reference import loop_standard_tableaux, loop_young_matrices
+from loop_reference import (
+    hook_content_dimension,
+    hook_dimension,
+    loop_hook_lengths,
+    loop_standard_tableaux,
+    loop_young_matrices,
+)
 
 
 def P(*parts):
     return Partition(tuple(parts))
+
+
+def images(rep):
+    """The images of s_1, ..., s_{m-1}, applied to the identity by rep.left."""
+    return [rep.left(i, np.eye(rep.dim)) for i in range(1, rep.degree)]
 
 
 class TestPartition:
@@ -34,7 +46,26 @@ class TestPartition:
             assert (alpha.height, alpha.dimension) == (height, dimension)
 
     def test_hook_lengths_2_1(self):
-        assert P(2, 1).hook_lengths() == [[3, 1], [1]]
+        # the hooks behind the reference dimensions below
+        assert loop_hook_lengths(P(2, 1)) == [[3, 1], [1]]
+
+    def test_dimensions_match_the_hook_formulas(self):
+        # Frobenius' and Weyl's formulas against the hook length and hook content
+        # rules, on all 683 partitions of 1..15
+        for m in range(1, 16):
+            for alpha in partitions_of(m):
+                assert alpha.dimension == hook_dimension(alpha)
+                for d in range(1, m + 3):
+                    assert alpha.unitary_dimension(d) == hook_content_dimension(alpha, d)
+
+    @pytest.mark.parametrize("size", [10**5, 10**7])
+    def test_dimensions_of_one_and_two_row_shapes_at_large_size(self, size):
+        # exact binomials; the hook rule multiplies size hooks and divides size!, 4.5 s at 10^5
+        start = time.perf_counter()
+        assert P(size).dimension == 1 and P(size - 1, 1).dimension == size - 1
+        assert P(size - 2, 2).dimension == size * (size - 3) // 2
+        assert P(size).unitary_dimension(2) == size + 1
+        assert time.perf_counter() - start < 0.1
 
     def test_dimension_squares_sum_to_factorial(self):
         for m in range(1, 7):
@@ -140,26 +171,26 @@ class TestPermutation:
 
 class TestYoungOrthogonalRep:
     def test_trivial_and_sign(self):
-        np.testing.assert_allclose(young_orthogonal_rep(P(2)).matrices[0], [[1.0]])
-        np.testing.assert_allclose(young_orthogonal_rep(P(1, 1)).matrices[0], [[-1.0]])
+        np.testing.assert_allclose(images(young_orthogonal_rep(P(2)))[0], [[1.0]])
+        np.testing.assert_allclose(images(young_orthogonal_rep(P(1, 1)))[0], [[-1.0]])
 
     def test_standard_rep_of_s3(self):
-        rep = young_orthogonal_rep(P(2, 1))
-        np.testing.assert_allclose(rep.matrices[0], np.diag([1.0, -1.0]))
+        s1, s2 = images(young_orthogonal_rep(P(2, 1)))
+        np.testing.assert_allclose(s1, np.diag([1.0, -1.0]))
         r3 = np.sqrt(3.0)
-        np.testing.assert_allclose(
-            rep.matrices[1], np.array([[-0.5, r3 / 2], [r3 / 2, 0.5]]), atol=1e-15
-        )
+        np.testing.assert_allclose(s2, np.array([[-0.5, r3 / 2], [r3 / 2, 0.5]]), atol=1e-15)
 
     def test_tableaux_count(self):
-        for m in range(1, 6):
+        # one basis vector a standard tableau; the library's own assert is stripped under -O
+        for m in range(1, 9):
             for alpha in partitions_of(m):
-                assert len(standard_tableaux(alpha)) == alpha.dimension
+                rep = young_orthogonal_rep(alpha)
+                assert rep.dim == alpha.dimension == len(loop_standard_tableaux(alpha))
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8])
     def test_generator_relations(self, m):
         for alpha in partitions_of(m):
-            mats = young_orthogonal_rep(alpha).matrices
+            mats = images(young_orthogonal_rep(alpha))
             eye = np.eye(alpha.dimension)
             for i, s in enumerate(mats):
                 np.testing.assert_allclose(s, s.T, atol=1e-13)
@@ -178,23 +209,37 @@ class TestYoungOrthogonalRep:
 class TestVectorisedYoungForm:
     @pytest.mark.parametrize("m", range(1, 9))
     def test_matches_loop_construction(self, m):
+        # every image of s_i equal to the loop's, entry for entry: a basis in
+        # another order would change some image, by Schur's lemma
         for alpha in partitions_of(m):
-            assert standard_tableaux(alpha) == loop_standard_tableaux(alpha)
-            mats = young_orthogonal_rep(alpha).matrices
+            rep = young_orthogonal_rep(alpha)
             expect = loop_young_matrices(alpha)
-            assert len(mats) == len(expect) == m - 1
-            for got, ref in zip(mats, expect):
-                np.testing.assert_array_equal(got, ref)
+            assert len(rep.diag) == len(expect) == m - 1
+            for i, ref in enumerate(expect, start=1):
+                np.testing.assert_array_equal(rep.left(i, np.eye(rep.dim)), ref)
 
     def test_sparse_products_match_dense(self):
         rep = young_orthogonal_rep(P(3, 2, 1))
         X = np.random.Generator(np.random.PCG64(7)).normal(size=(rep.dim, rep.dim))
-        for i, s in enumerate(rep.matrices, start=1):
+        for i, s in enumerate(loop_young_matrices(rep.partition), start=1):
             np.testing.assert_allclose(rep.left(i, X), s @ X, rtol=0, atol=1e-14)
             np.testing.assert_allclose(rep.right(X, i), X @ s, rtol=0, atol=1e-14)
 
 
 class TestRepMatrix:
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_matches_loop_products_along_the_word(self, m):
+        # every permutation of every partition of m, against the loop images
+        # multiplied out densely along the same adjacent-transposition word
+        for alpha in partitions_of(m):
+            rep, mats = young_orthogonal_rep(alpha), loop_young_matrices(alpha)
+            for images_ in itertools.permutations(range(1, m + 1)):
+                sigma = Permutation(images_)
+                expect = np.eye(rep.dim)
+                for i in sigma.adjacent_word():
+                    expect = expect @ mats[i - 1]
+                assert np.max(np.abs(rep_matrix(rep, sigma) - expect)) <= 1e-15
+
     def test_identity_and_examples(self):
         rep = young_orthogonal_rep(P(2, 1))
         np.testing.assert_allclose(
