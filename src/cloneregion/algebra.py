@@ -48,8 +48,10 @@ import numpy as np
 from .symgroup import Partition, branch_up, partitions_of, young_orthogonal_rep
 
 # Bytes that one computation may allocate.  Every large allocation in the
-# package first predicts its size from its inputs, plus 1 MiB for Python
-# objects, and calls require_memory.
+# package first predicts its size from its inputs and calls require_memory.
+# A prediction charges what is held at once: the store that outlives the
+# step, plus the largest transient formed beside it, plus 1 MiB for Python
+# objects.
 MEMORY_BUDGET = 2**31
 
 
@@ -327,23 +329,17 @@ class Decomposition:
 
 def decompose(n: int, d: int) -> Decomposition:
     """All blocks for (n, d); ValueError, before any is built, past the memory budget."""
-    # Each block is charged its n-1 generators of dim^2 floats, which every
-    # reader but symmetric_max forms, and its (n-1, dim_phi, dim) factors,
-    # which no block holds: the charge bounds the factors formed while the
-    # block is built and again when its generators form.  The build
-    # transients are charged as a dense Q(alpha) and three more (n-1) dim_phi^2
-    # floats; the certificate holds one strip of Q, one coset row of Y Y^T and
-    # one difference, at most (n-1) dim_phi^2 floats each, so the Q term
-    # over-charges.  It is kept: dropping it (2671 -> about 1560 MiB at
-    # (15,2)), or charging one build's factors and transients instead, would
-    # admit (15,2), whose check and channels peaks are not measured.
-    # Partitions are read lazily, so a size far past the budget is refused at
-    # its first blocks.
-    m, need, alphas = n - 1, 2**20, []
+    # The store is every block's n-1 generators, which every reader but
+    # symmetric_max forms; the largest build holds its (n-1, dim_phi, dim)
+    # factors and the certificate's strip, coset row and difference, at most
+    # (n-1) dim_phi^2 floats each.  Partitions are read lazily, so a size far
+    # past the budget is refused at its first blocks.
+    m, store, build, alphas = n - 1, 0, 0, []
     for alpha in _admissible(n, d, n - 2):
         dim, w = sum(nu.dimension for nu in branch_up(alpha) if nu.height <= d), alpha.dimension
-        need += 8 * m * dim * dim + 8 * m * w * (dim + (m + 3) * w)
-        require_memory(need, f"decompose({n}, {d})")
+        store += 8 * m * dim * dim
+        build = max(build, 8 * m * w * (dim + 3 * w))
+        require_memory(store + build + 2**20, f"decompose({n}, {d})")
         alphas.append(alpha)
     blocks = tuple(build_block(a, n, d) for a in alphas)
     return Decomposition(n, d, blocks, tuple(admissible_N_irreps(n, d)))

@@ -47,6 +47,7 @@ from .oracle import (
 from .regions import (
     MembershipOracle,
     _chunks,
+    _hull_dimension,
     build_hull,
     extreme_points,
     sample_region,
@@ -145,6 +146,7 @@ def cmd_region(args) -> int:
 
 
 def cmd_hull(args) -> int:
+    _hull_dimension(args.n - 1)  # refused before any block is built
     dec = decompose(args.n, args.d)
     hull = build_hull(dec)
     body = {
@@ -355,6 +357,8 @@ def main(argv=None) -> int:
         # the gauge g is >= 0, so no point is inside once 1 - tol <= 0; NaN fails both
         if getattr(args, "samples", 1) < 1 or not 0 < getattr(args, "tol", 0.5) < 1:
             raise ValueError("need samples >= 1 and 0 < tol < 1")
+        if getattr(args, "seed", 0) < 0:  # PCG64's own refusal names no flag
+            raise ValueError(f"need --seed >= 0, got {args.seed}")
         return args.func(args)
     except SystemExit as exc:  # argparse's exit status
         return exc.code

@@ -258,6 +258,13 @@ class RegionHull:
     volume: float
 
 
+def _hull_dimension(N: int) -> int:
+    """N, the dimension of the hull of N clones; ValueError unless it is 2 or 3."""
+    if N not in (2, 3):
+        raise ValueError(f"hulls only for 2 or 3 clones (got {N}); use support/membership")
+    return N
+
+
 def build_hull(dec: Decomposition) -> RegionHull:
     """Hull of exact extreme points, refined along its facet normals (2D/3D only).
 
@@ -269,9 +276,7 @@ def build_hull(dec: Decomposition) -> RegionHull:
     stops when no gap exceeds GAP_FLOOR or the hull has HULL_FACETS facets;
     the round that would pass the budget adds the largest gaps only.
     """
-    N = dec.clone_count
-    if N not in (2, 3):
-        raise ValueError(f"hulls only for 2 or 3 clones (got {N}); use support/membership")
+    N = _hull_dimension(dec.clone_count)
     from scipy.spatial import ConvexHull
 
     X, _, source = extreme_points(dec, _seed_directions(N))

@@ -112,6 +112,16 @@ class TestHull:
         assert code == 2
         assert "clones" in err
 
+    def test_clone_count_refused_before_any_block(self, capsys, monkeypatch):
+        # at (14, 2) the blocks took 1.5 s to build before the refusal
+        def refuse(*args, **kwargs):
+            raise AssertionError("decompose ran before the refusal")
+
+        monkeypatch.setattr(cli, "decompose", refuse)
+        code, out, err = run(capsys, "hull", "--n", "14", "--d", "2")
+        assert code == 2 and out == ""
+        assert err == "error: hulls only for 2 or 3 clones (got 13); use support/membership\n"
+
 
 class TestCheck:
     @pytest.mark.parametrize("n,d", [(3, 2), (4, 3)])
@@ -276,6 +286,13 @@ class TestArgumentValidation:
                              "--tol", tol)
         assert code == 2 and out == ""
         assert err == "error: need samples >= 1 and 0 < tol < 1\n"
+
+    @pytest.mark.parametrize("argv", [("check",), ("channels", "--samples", "1")])
+    def test_negative_seed_names_the_flag(self, capsys, argv):
+        # PCG64's own refusal, "expected non-negative integer", names no flag
+        code, out, err = run(capsys, *argv, "--n", "3", "--d", "2", "--seed", "-1")
+        assert code == 2 and out == ""
+        assert err == "error: need --seed >= 0, got -1\n"
 
     @pytest.fixture
     def no_eigensolve(self, monkeypatch):

@@ -99,12 +99,15 @@ class TestRefusalsUnderAddressLimit:
 
 
 def test_symmetric_reads_no_generator_under_1_gib():
-    # decompose(11, 4) forms 277 MiB of factors, one block at a time, and holds none;
-    # its generators would take 1.3 GiB
-    [result] = run_under_address_limit([["symmetric", "--n", "11", "--d", "4"]], limit=2**30)
-    assert result["raised"] is None, result["raised"]
-    assert result["rc"] == 0, result["stderr"]
-    assert "(Werner reference F = 0.325000, f = 0.460000)" in result["stdout"]
+    # decompose builds one block at a time and holds no factors; the generators
+    # would take 1.4 GiB at (11, 4) and 1.0 GiB at (15, 2)
+    werner = {(11, 4): "F = 0.325000, f = 0.460000", (15, 2): "F = 0.535714, f = 0.690476"}
+    results = run_under_address_limit([["symmetric", "--n", str(n), "--d", str(d)] for n, d in werner],
+                                      limit=2**30)
+    for result, reference in zip(results, werner.values()):
+        assert result["raised"] is None, result["raised"]
+        assert result["rc"] == 0, result["stderr"]
+        assert f"(Werner reference {reference})" in result["stdout"]
 
 
 def test_decompose_holds_no_factors():
@@ -191,6 +194,7 @@ def _site_call(site, size):
 SITES = [
     ("decompose", (10, 2)), ("decompose", (8, 4)), ("decompose", (9, 4)), ("decompose", (14, 2)),
     ("generators", (10, 2)), ("generators", (9, 4)), ("generators", (14, 2)),
+    ("generators", (10, 5)), ("generators", (11, 3)),
     ("irreps", (6, 4)), ("irreps", (7, 4)), ("irreps", (9, 2)),
     ("sector_blocks", (5, 4)), ("sector_blocks", (7, 4)), ("sector_blocks", (8, 3)),
     ("sector_blocks", (6, 8)),
