@@ -19,7 +19,8 @@ Y_m maps tableau T of alpha to the tableau T + m of nu (m in the box
 nu/alpha) with weight sqrt((d + c(nu/alpha)) dim psi^nu / (m dim phi)),
 c the content of the added box; then Y_{m-1} = Y_m psi(s_{m-1}) and
 Y_a = phi(s_a) Y_{a+1} psi(s_a).  Every step is a sparse gather (psi's over
-all kept psi^nu at once) into one (m, dim phi, dim) array of factors.
+all kept psi^nu at once), written in place into one (m, dim phi, dim) array
+of factors through one reused (dim phi, dim) buffer.
 
 The Gram-like matrix Q(alpha), evaluated from phi alone, certifies
 the closed form: stacking the Y_a (coset m twisted by phi(s_1) for n >= 4,
@@ -28,6 +29,9 @@ So Y is a factor of Q whose columns span its eigenspaces with the exact
 eigenvalues, in the canonical Young basis at every n.  The certificate reads
 Q one block row at a time, as QMatrix.rows() yields it, so no block forms the
 dense (n-1) dim phi square; QMatrix.entries forms it for readers that ask.
+A build holds nothing of factor size beside the factors: while they form,
+one (dim phi, dim) buffer; while they are certified, one strip of Q, one
+coset row of Y Y^T and one chunk of their difference.
 
 A block keeps no array: only the labels, their eigenvalues and the Gram
 residual.  _factors, elementwise gathers free of BLAS, gives the same bits
@@ -246,10 +250,21 @@ def _factors(alpha: Partition, labels: Sequence[Partition],
     for psi, nu, lam, start in zip(psis, labels, eigenvalues, spans):
         grown = start + np.flatnonzero(psi.words[:, -1] == _added_box(alpha, nu)[0])
         factors[-1, np.arange(w), grown] = np.sqrt(lam * psi.dim / (m * w))
+    # Y_a is written over factors[a-1] from factors[a] through one gathered copy
+    buf = np.empty((w, spans[-1]))
     for a in range(m - 1, 0, -1):
-        Y = factors[a] * diag[a - 1] + factors[a][:, partner[a - 1]] * off[a - 1]
-        factors[a - 1] = phi.left(a, Y) if a < m - 1 else Y
+        Y = factors[a - 1]
+        np.take(factors[a], partner[a - 1], axis=1, out=buf, mode="clip")
+        buf *= off[a - 1]
+        np.multiply(factors[a], diag[a - 1], out=Y)
+        Y += buf
+        if a < m - 1:
+            phi.left_in_place(a, Y, buf)
     return factors
+
+
+# Entries of a coset row's difference from Q that the certificate holds at once
+_CHUNK = 2**14
 
 
 def _deviations(R: np.ndarray, strip: np.ndarray) -> list[float]:
@@ -257,13 +272,20 @@ def _deviations(R: np.ndarray, strip: np.ndarray) -> list[float]:
 
     R is one coset row of Y Y^T and strip the matching block row of Q, both
     (dim_phi, k dim_phi); the strip's blocks transposed, a strided view, are
-    Q's block column.  One difference is held at a time, and none past the call.
+    Q's block column.  Both differences are written a chunk of rows at a time
+    into one buffer of at most _CHUNK entries (one row if a row holds more).
     """
-    D = R - strip
-    deviations = [D.max(), -D.min()]
     blocks = strip.reshape(len(strip), -1, len(strip))
-    np.subtract(R.reshape(blocks.shape), blocks.T, out=D.reshape(blocks.shape))
-    return deviations + [D.max(), -D.min()]
+    pairs = (R, strip), (R.reshape(blocks.shape), blocks.T)
+    step = max(1, _CHUNK // R.shape[1])
+    buf = np.empty((min(step, len(R)), R.shape[1]))
+    deviations = []
+    for start in range(0, len(R), step):
+        for X, S in pairs:
+            x = X[start : start + step]
+            D = np.subtract(x, S[start : start + step], out=buf[: len(x)].reshape(x.shape))
+            deviations += [D.max(), -D.min()]
+    return deviations
 
 
 def build_block(alpha: Partition, n: int, d: int) -> IrrepBlock:
@@ -274,9 +296,11 @@ def build_block(alpha: Partition, n: int, d: int) -> IrrepBlock:
     time: its rows R_a = Y_a [Y_a ... Y_{n-1}]^T of Y Y^T are compared with the
     strip of Q that QMatrix.rows() yields for a, block row a from block column
     a on, and with that strip's blocks transposed, Q's block column a.  No
-    block forms the dense Q: one strip, one R_a and one difference are held at
-    a time.  The certificate twists the last coset in place as in build_Q; the
-    generators, formed on first read, derive the untwisted factors again.
+    block forms the dense Q: beside the factors, one strip, one R_a (one GEMM,
+    whose rounding depends on its column count) and one chunk of their
+    difference are held at a time.  The certificate twists the last coset in
+    place as in build_Q; the generators, formed on first read, derive the
+    untwisted factors again.
     InconsistencyError is raised unless max |Y Y^T - Q(alpha)| <= 1e-8 d.
     """
     nus = branch_up(alpha)
@@ -287,7 +311,7 @@ def build_block(alpha: Partition, n: int, d: int) -> IrrepBlock:
     dim = factors.shape[2]
 
     if n >= 4:
-        factors[-1] = young_orthogonal_rep(alpha).left(1, factors[-1])
+        young_orthogonal_rep(alpha).left_in_place(1, factors[-1], np.empty_like(factors[-1]))
     deviations = []
     for a, strip in enumerate(build_Q(alpha, n, d).rows()):
         deviations += _deviations(factors[a] @ factors[a:].reshape(-1, dim).T, strip)
@@ -327,18 +351,26 @@ class Decomposition:
         return sum(8 * (self.n - 1) * b.dim**2 for b in self.blocks)
 
 
+def _block_shapes(n: int, d: int) -> Iterator[tuple[Partition, int, int]]:
+    """(alpha, dim phi, dim) of each block of (n, d), read from its labels alone, lazily."""
+    for alpha in _admissible(n, d, n - 2):
+        yield alpha, alpha.dimension, sum(nu.dimension for nu in branch_up(alpha) if nu.height <= d)
+
+
 def decompose(n: int, d: int) -> Decomposition:
     """All blocks for (n, d); ValueError, before any is built, past the memory budget."""
     # The store is every block's n-1 generators, which every reader but
-    # symmetric_max forms; the largest build holds its (n-1, dim_phi, dim)
-    # factors and the certificate's strip, coset row and difference, at most
-    # (n-1) dim_phi^2 floats each.  Partitions are read lazily, so a size far
-    # past the budget is refused at its first blocks.
+    # symmetric_max forms.  The largest build holds its (n-1, dim_phi, dim)
+    # factors beside one of: _factors' gathered slice or the generators' copy
+    # of Y_a^T, dim_phi dim floats; or two strips of Q, or a strip and a coset
+    # row of Y Y^T, at most 2(n-1) dim_phi^2 floats, with the certificate's
+    # chunk and at most seven dim_phi^2 blocks of the strip recursion.
+    # Partitions are read lazily, so a size far past the budget is refused at
+    # its first blocks.
     m, store, build, alphas = n - 1, 0, 0, []
-    for alpha in _admissible(n, d, n - 2):
-        dim, w = sum(nu.dimension for nu in branch_up(alpha) if nu.height <= d), alpha.dimension
+    for alpha, w, dim in _block_shapes(n, d):
         store += 8 * m * dim * dim
-        build = max(build, 8 * m * w * (dim + 3 * w))
+        build = max(build, 8 * (m * w * dim + max(w * dim, (2 * m + 7) * w * w) + _CHUNK))
         require_memory(store + build + 2**20, f"decompose({n}, {d})")
         alphas.append(alpha)
     blocks = tuple(build_block(a, n, d) for a in alphas)
@@ -362,12 +394,22 @@ def block_to_dict(block: IrrepBlock) -> dict:
     }
 
 
+def require_json_memory(n: int, d: int) -> None:
+    """ValueError if the irreps JSON of decompose(n, d) would pass the memory budget.
+
+    The generators and their lists of Python floats peak at 5.2-5.8x the
+    generators' bytes.  The price reads the block shapes from their labels,
+    lazily, so it builds no block and refuses a size far past the budget at
+    its first blocks; the JSON text is streamed, never held whole.
+    """
+    store = 0
+    for _, _, dim in _block_shapes(n, d):
+        store += 8 * (n - 1) * dim * dim
+        require_memory(6 * store + 2**20, f"the JSON text of decompose({n}, {d})")
+
+
 def decomposition_to_dict(dec: Decomposition) -> dict:
-    # the generators and their lists of Python floats peak at 5.2-5.8x the
-    # generators' bytes, read from the block shapes so that a refusal forms
-    # none; the JSON text is streamed, never held whole
-    require_memory(6 * dec.generator_bytes + 2**20,
-                   f"the JSON text of decompose({dec.n}, {dec.d})")
+    require_json_memory(dec.n, dec.d)
     return {
         "n": dec.n,
         "d": dec.d,

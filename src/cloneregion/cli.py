@@ -33,7 +33,7 @@ from typing import Iterable
 import numpy as np
 
 from . import __version__
-from .algebra import decompose, decomposition_to_dict
+from .algebra import decompose, decomposition_to_dict, require_json_memory
 from .oracle import (
     InconsistencyError,
     _sector,
@@ -107,6 +107,7 @@ def _envelope(args, body: dict) -> dict:
 
 
 def cmd_irreps(args) -> int:
+    require_json_memory(args.n, args.d)  # priced from the labels, before any block is built
     dec = decompose(args.n, args.d)
     _emit(args, _envelope(args, decomposition_to_dict(dec)))
     return 0

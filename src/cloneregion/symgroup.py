@@ -186,29 +186,6 @@ class Permutation:
         return swaps[::-1]
 
 
-def _tableau_words(alpha: Partition) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column words of the standard tableaux of shape alpha, lexicographically.
-
-    Row k of words (cols) gives, for each letter 1..m, the (0-based) row
-    (column) that holds it.  Words grow one letter at a time; np.nonzero
-    enumerates the extensions by (prefix, row), which keeps the list in
-    lexicographic order, and a letter's column is its row's count before it.
-    """
-    parts = np.array(alpha.parts)
-    words = cols = np.zeros((1, 0), dtype=np.int64)
-    counts = np.zeros((1, len(parts)), dtype=np.int64)
-    for _ in range(alpha.size):
-        room = counts < parts
-        room[:, 1:] &= counts[:, 1:] < counts[:, :-1]
-        prefix, row = np.nonzero(room)
-        counts = counts[prefix]
-        grown = np.arange(len(row)), row
-        words = np.hstack([words[prefix], row[:, None]])
-        cols = np.hstack([cols[prefix], counts[grown][:, None]])
-        counts[grown] += 1
-    return words, cols
-
-
 @dataclass(frozen=True)
 class OrthogonalRep:
     """Young orthogonal form irrep of S(m) for m = size of the partition.
@@ -243,25 +220,57 @@ class OrthogonalRep:
         """X @ image(s_i), by gathering columns."""
         return X * self.diag[i - 1] + X[:, self.partner[i - 1]] * self.off[i - 1]
 
+    def left_in_place(self, i: int, X: np.ndarray, buf: np.ndarray) -> None:
+        """X <- image(s_i) @ X through buf, an array of X's shape: the floats of left(i, X)."""
+        # NumPy buffers take's out in the default raise mode; partner is in range
+        np.take(X, self.partner[i - 1], axis=0, out=buf, mode="clip")
+        buf *= self.off[i - 1, :, None]
+        X *= self.diag[i - 1, :, None]
+        X += buf
+
 
 @lru_cache(maxsize=None)
 def young_orthogonal_rep(alpha: Partition) -> OrthogonalRep:
     """Young orthogonal form of the irrep of S(size alpha) labeled by alpha.
 
-    The s_i image has diagonal entries 1/r with r the axial distance from i
-    to i+1, and off-diagonal entries sqrt(1 - 1/r^2) connecting tableaux that
-    differ by swapping i and i+1.  Contents are column minus row words; a
-    swapped tableau is found by the integer code of its word.
+    Basis vectors are the standard tableaux, by their row words in
+    lexicographic order.  A tableau of alpha is one of alpha less a corner
+    with that corner's row appended as the last letter, so the words are those
+    of each such shape, read through this cache, merged by their integer
+    codes; a one-row or one-column shape has the single word of its reading
+    order, which also ends the recursion.  A letter's column is the count of
+    its row before it.  The s_i image has diagonal entries 1/r with r the
+    axial distance from i to i+1, and off-diagonal entries sqrt(1 - 1/r^2)
+    connecting tableaux that differ by swapping i and i+1.  Contents are
+    column minus row words; a swapped tableau is found by its code.
     """
-    words, cols = _tableau_words(alpha)
-    dim, m = words.shape
+    parts, m, h = alpha.parts, alpha.size, alpha.height
+    # the int64 codes keep a shape of two or more rows under 63 letters, and
+    # so the recursion below under 63 calls deep
+    if h**m >= 2**63:
+        raise ValueError(f"{alpha}: tableau words overflow their int64 codes")
+    place = h ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    if h == 1 or parts[0] == 1:
+        words = np.repeat(np.arange(h), parts)[None]
+    else:
+        grown = []
+        for i in range(h):
+            if i == h - 1 or parts[i] > parts[i + 1]:  # row i ends in a corner
+                less = tuple(p for p in parts[:i] + (parts[i] - 1,) + parts[i + 1:] if p)
+                sub = young_orthogonal_rep(Partition(less)).words
+                grown.append(np.hstack([sub, np.full((len(sub), 1), i)]))
+        keys = [g @ place for g in grown]  # each group is sorted already
+        every = np.concatenate(keys)
+        words = np.empty((len(every), m), dtype=np.int64)
+        # a word's rank is its count of smaller codes over all the groups
+        words[sum(np.searchsorted(k, every) for k in keys)] = np.vstack(grown)
+    dim = len(words)
     assert dim == alpha.dimension
+    codes = words @ place  # numeric order = lexicographic order of the words
+    same_row = words[:, :, None] == np.arange(h)
+    cols = np.cumsum(same_row, axis=1)[same_row].reshape(dim, m) - 1
     contents = cols - words
     axial = (contents[:, 1:] - contents[:, :-1]).T  # (m-1, dim)
-    if alpha.height**m >= 2**63:
-        raise ValueError(f"{alpha}: tableau words overflow their int64 codes")
-    place = alpha.height ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    codes = words @ place  # numeric order = lexicographic order of the words
     # swapping letters i, i+1 changes the code by (w_{i+1} - w_i)(p_i - p_{i+1})
     delta = (words[:, 1:] - words[:, :-1]) * (place[:-1] - place[1:])
     swapped = np.searchsorted(codes, (codes[:, None] + delta).T)

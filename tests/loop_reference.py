@@ -8,6 +8,13 @@ densely, and each block by eigendecomposing Q(alpha) and labeling its
 eigenvectors with the predicted spectrum d + c(nu/alpha).
 None of this calls the package's Young form, build_Q or build_block.
 
+Three earlier implementations stay here as bit-for-bit references for the
+ones that replaced them: the Young form with its tableau words grown a letter
+at a time over all prefixes (prefix_orthogonal_rep), the factor recursion
+that allocates each step anew (allocating_factors) and the certificate that
+differences whole strips (whole_strip_residual).  The last two read the
+package's Young form and QMatrix.rows(), as the code they reproduce did.
+
 The oracle's charge sectors are enumerated all at once from index arithmetic
 over every basis state (all_sector_blocks), where the package diagonalizes one
 representative sector a colour orbit.  The gap between two spectra is read
@@ -34,10 +41,13 @@ from typing import Sequence
 import numpy as np
 
 from cloneregion.algebra import (
-    MEMORY_BUDGET, Decomposition, InconsistencyError, IrrepBlock, require_memory,
+    MEMORY_BUDGET, Decomposition, InconsistencyError, IrrepBlock, _added_box, build_Q,
+    require_memory,
 )
 from cloneregion.regions import block_support
-from cloneregion.symgroup import Partition, Permutation, branch_up
+from cloneregion.symgroup import (
+    OrthogonalRep, Partition, Permutation, branch_up, young_orthogonal_rep,
+)
 
 
 def loop_standard_tableaux(alpha: Partition) -> list[tuple[tuple[int, ...], ...]]:
@@ -160,6 +170,82 @@ def eigh_block(alpha: Partition, n: int, d: int):
     w = alpha.dimension
     generators = [Y[a * w : (a + 1) * w].T @ Y[a * w : (a + 1) * w] for a in range(n - 1)]
     return eigenvalues, labels, generators
+
+
+def prefix_orthogonal_rep(alpha: Partition) -> OrthogonalRep:
+    """The Young orthogonal form with the row words grown one letter at a time.
+
+    np.nonzero enumerates the extensions of every prefix by (prefix, row),
+    which keeps the words in lexicographic order, and a letter's column is its
+    row's count before it.  Uncached; the rest is young_orthogonal_rep's.
+    """
+    parts = np.array(alpha.parts)
+    words = cols = np.zeros((1, 0), dtype=np.int64)
+    counts = np.zeros((1, len(parts)), dtype=np.int64)
+    for _ in range(alpha.size):
+        room = counts < parts
+        room[:, 1:] &= counts[:, 1:] < counts[:, :-1]
+        prefix, row = np.nonzero(room)
+        counts = counts[prefix]
+        grown = np.arange(len(row)), row
+        words = np.hstack([words[prefix], row[:, None]])
+        cols = np.hstack([cols[prefix], counts[grown][:, None]])
+        counts[grown] += 1
+    dim, m = words.shape
+    contents = cols - words
+    axial = (contents[:, 1:] - contents[:, :-1]).T
+    place = alpha.height ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    codes = words @ place
+    delta = (words[:, 1:] - words[:, :-1]) * (place[:-1] - place[1:])
+    swapped = np.searchsorted(codes, (codes[:, None] + delta).T)
+    partner = np.where(np.abs(axial) >= 2, swapped, np.arange(dim))
+    return OrthogonalRep(alpha, words, 1.0 / axial, partner, np.sqrt(1.0 - 1.0 / axial**2))
+
+
+def allocating_factors(alpha: Partition, labels: Sequence[Partition],
+                       eigenvalues: Sequence[float]) -> np.ndarray:
+    """The untwisted factors Y_a in factors[a-1], each step formed in new arrays.
+
+    Y_m from the grown tableaux, then Y_a = phi(s_a) Y_{a+1} psi(s_a) with
+    OrthogonalRep.left and a gather of psi's columns.
+    """
+    m = alpha.size + 1
+    phi = young_orthogonal_rep(alpha)
+    w = phi.dim
+    psis = [young_orthogonal_rep(nu) for nu in labels]
+    spans = np.cumsum([0] + [psi.dim for psi in psis])
+    diag = np.hstack([psi.diag for psi in psis])
+    off = np.hstack([psi.off for psi in psis])
+    partner = np.hstack([psi.partner + start for psi, start in zip(psis, spans)])
+    factors = np.zeros((m, w, spans[-1]))
+    for psi, nu, lam, start in zip(psis, labels, eigenvalues, spans):
+        grown = start + np.flatnonzero(psi.words[:, -1] == _added_box(alpha, nu)[0])
+        factors[-1, np.arange(w), grown] = np.sqrt(lam * psi.dim / (m * w))
+    for a in range(m - 1, 0, -1):
+        Y = factors[a] * diag[a - 1] + factors[a][:, partner[a - 1]] * off[a - 1]
+        factors[a - 1] = phi.left(a, Y) if a < m - 1 else Y
+    return factors
+
+
+def whole_strip_residual(alpha: Partition, n: int, d: int, factors: np.ndarray) -> float:
+    """max |Y Y^T - Q(alpha)| / d, each coset row against its whole strip and its mirror.
+
+    factors are the untwisted ones; a copy of the last coset is twisted by
+    phi(s_1) for n >= 4, and each difference is formed whole.
+    """
+    factors = factors.copy()
+    dim = factors.shape[2]
+    if n >= 4:
+        factors[-1] = young_orthogonal_rep(alpha).left(1, factors[-1])
+    deviations = []
+    for a, strip in enumerate(build_Q(alpha, n, d).rows()):
+        R = factors[a] @ factors[a:].reshape(-1, dim).T
+        D = R - strip
+        deviations += [D.max(), -D.min()]
+        blocks = strip.reshape(len(strip), -1, len(strip))
+        np.subtract(R.reshape(blocks.shape), blocks.T, out=D.reshape(blocks.shape))
+        deviations += [D.max(), -D.min()]
+    return float(np.max(deviations)) / d
 
 
 # Unit vectors u_a and diagonal scalings D with B_a = D u_a u_a^T D for the

@@ -16,11 +16,13 @@ from cloneregion.algebra import (
 from cloneregion.symgroup import Partition, branch_up, partitions_of, young_orthogonal_rep
 
 from loop_reference import (
+    allocating_factors,
     blocks_equivalent,
     clone_observable,
     eigh_block,
     reference_fixtures,
     reference_Q,
+    whole_strip_residual,
 )
 
 
@@ -219,6 +221,34 @@ class TestBuildBlock:
                 for D in (R - row, R - column.T):
                     deviations += [D.max(), -D.min()]
             assert block.gram_residual == float(np.max(deviations)) / d
+
+    @pytest.mark.parametrize("n,d", [(4, 2), (5, 4), (6, 8), (8, 4), (10, 5)])
+    def test_in_place_build_is_bit_identical(self, n, d):
+        # factors written in place and differences taken in chunks give the
+        # floats of fresh arrays and whole strips
+        for alpha in partitions_of(n - 2, d):
+            block = build_block(alpha, n, d)
+            factors = algebra._factors(alpha, block.labels, block.eigenvalues)
+            reference = allocating_factors(alpha, block.labels, block.eigenvalues)
+            assert np.array_equal(factors, reference)
+            assert block.gram_residual == whole_strip_residual(alpha, n, d, reference)
+
+    @pytest.mark.parametrize("n,d", [(n, d) for n in range(3, 9) for d in (2, n - 1)] + [(10, 5)])
+    def test_factors_vanish_off_the_gelfand_tsetlin_pattern(self, n, d):
+        # phi(s_b) and psi(s_b) for b >= a commute with S(a-1), so Y_a[T, U] = 0
+        # unless the alpha-tableau T and the nu-tableau U agree on letters 1..a-1
+        allowed = total = 0
+        for alpha in partitions_of(n - 2, d):
+            block = build_block(alpha, n, d)
+            factors = algebra._factors(alpha, block.labels, block.eigenvalues)
+            rows = young_orthogonal_rep(alpha).words
+            cols = np.vstack([young_orthogonal_rep(nu).words for nu in block.labels])
+            for a, Y in enumerate(factors, start=1):
+                agree = (rows[:, None, : a - 1] == cols[None, :, : a - 1]).all(axis=2)
+                assert not np.any(Y[~agree]), (alpha, a)
+                allowed, total = allowed + agree.sum(), total + agree.size
+        if (n, d) == (10, 5):
+            assert allowed < 0.4 * total  # 34% of the dense factors
 
     def test_unlabelable_spectrum_raises(self, monkeypatch):
         # a shift of 3/4 breaks Y Y^T = Q far beyond the 1e-8 d certificate

@@ -356,6 +356,19 @@ class TestArgumentValidation:
         assert "charge sectors" in proc.stderr and "at the sector of type" in proc.stderr
         assert "larger ones may follow" in proc.stderr and "memory budget" in proc.stderr
 
+    def test_irreps_prices_its_json_before_building(self, capsys, monkeypatch):
+        # the JSON price reads the block labels, so (15, 2), whose blocks decompose
+        # admits, is refused before any is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("a block was built before the refusal")
+
+        monkeypatch.setattr(algebra, "build_block", refuse)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "irreps", "--n", "15", "--d", "2")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert "the JSON text of decompose(15, 2)" in err and "memory budget" in err
+
     def test_check_charges_the_generator_store_beside_each_sector(self, capsys, monkeypatch):
         # at (5,4) the largest sector is priced at 26,237,408 B and the generators
         # hold 3072 B: a budget between the price and the sum admits the first

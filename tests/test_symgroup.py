@@ -20,6 +20,7 @@ from loop_reference import (
     loop_hook_lengths,
     loop_standard_tableaux,
     loop_young_matrices,
+    prefix_orthogonal_rep,
 )
 
 
@@ -217,6 +218,33 @@ class TestVectorisedYoungForm:
             assert len(rep.diag) == len(expect) == m - 1
             for i, ref in enumerate(expect, start=1):
                 np.testing.assert_array_equal(rep.left(i, np.eye(rep.dim)), ref)
+
+    @pytest.mark.parametrize("m", range(1, 12))
+    def test_branching_matches_prefix_growth(self, m):
+        # the words merged from each shape less a corner give the same fields, bit for bit
+        for alpha in partitions_of(m):
+            rep, ref = young_orthogonal_rep(alpha), prefix_orthogonal_rep(alpha)
+            for field in ("words", "diag", "partner", "off"):
+                got, expect = getattr(rep, field), getattr(ref, field)
+                assert got.dtype == expect.dtype and got.shape == expect.shape
+                assert np.array_equal(got, expect), (alpha, field)
+
+    def test_sub_shapes_are_read_through_the_cache(self):
+        young_orthogonal_rep.cache_clear()
+        young_orthogonal_rep(P(3, 2, 1))
+        hits = young_orthogonal_rep.cache_info().hits
+        young_orthogonal_rep(P(3, 2))  # built on the way to (3, 2, 1)
+        assert young_orthogonal_rep.cache_info().hits == hits + 1
+        young_orthogonal_rep.cache_clear()
+        assert young_orthogonal_rep.cache_info().currsize == 0
+
+    def test_left_in_place_gives_the_floats_of_left(self):
+        rep = young_orthogonal_rep(P(4, 2, 1))
+        X = np.random.Generator(np.random.PCG64(3)).normal(size=(rep.dim, 7))
+        for i in range(1, rep.degree):
+            Y = X.copy()
+            rep.left_in_place(i, Y, np.empty_like(Y))
+            assert np.array_equal(Y, rep.left(i, X))
 
     def test_sparse_products_match_dense(self):
         rep = young_orthogonal_rep(P(3, 2, 1))
