@@ -27,11 +27,11 @@ the closed form: stacking the Y_a (coset m twisted by phi(s_1) for n >= 4,
 as in build_Q) gives Y Y^T = Q(alpha), and sum_a B_a = diag(d + c(nu/alpha)).
 So Y is a factor of Q whose columns span its eigenspaces with the exact
 eigenvalues, in the canonical Young basis at every n.  The certificate reads
-Q one block row at a time, as QMatrix.rows() yields it, so no block forms the
-dense (n-1) dim phi square; QMatrix.entries forms it for readers that ask.
-A build holds nothing of factor size beside the factors: while they form,
-one (dim phi, dim) buffer; while they are certified, one strip of Q, one
-coset row of Y Y^T and one chunk of their difference.
+Q one (dim phi, dim phi) block at a time, as QMatrix.rows() yields it, so no
+block forms the dense (n-1) dim phi square; QMatrix.entries forms it for
+readers that ask.  A build holds nothing of factor size beside the factors:
+while they form, one (dim phi, dim) buffer; while they are certified, one
+coset row of Y Y^T and a few dim phi^2 blocks of Q and of their differences.
 
 A block keeps no array: only the labels, their eigenvalues and the Gram
 residual.  _factors, elementwise gathers free of BLAS, gives the same bits
@@ -54,8 +54,8 @@ from .symgroup import Partition, branch_up, partitions_of, young_orthogonal_rep
 # Bytes that one computation may allocate.  Every large allocation in the
 # package first predicts its size from its inputs and calls require_memory.
 # A prediction charges what is held at once: the store that outlives the
-# step, plus the largest transient formed beside it, plus 1 MiB for Python
-# objects.
+# step, plus the largest transient formed beside it; require_memory adds
+# 1 MiB for Python objects.
 MEMORY_BUDGET = 2**31
 
 
@@ -64,7 +64,8 @@ class InconsistencyError(RuntimeError):
 
 
 def require_memory(nbytes: int, what: str) -> None:
-    """Raise ValueError if `what`, predicted to need nbytes, exceeds MEMORY_BUDGET."""
+    """Raise ValueError if `what`, predicted to need nbytes plus 1 MiB, exceeds MEMORY_BUDGET."""
+    nbytes += 2**20
     if nbytes > MEMORY_BUDGET:
         raise ValueError(f"{what} would need about {nbytes / 2**20:.1f} MiB, more than the "
                          f"memory budget of {MEMORY_BUDGET / 2**20:g} MiB")
@@ -89,9 +90,9 @@ class QMatrix:
     """Block matrix Q^{ab}_{ij} = d^{delta_ab} phi^alpha[(a,n-1)(a,b)(b,n-1)]_{ij}, by block rows.
 
     Row/column index is (a, i) -> (a-1)*dim_phi + i with a = 1..n-1.  rows()
-    yields block row a from block column a on, which is all that the
-    certificate in build_block reads; entries places those strips and their
-    mirrors into the dense (n-1) dim_phi square on first read.
+    yields block row a from block column a on, block by block, which is all
+    that the certificate in build_block reads; entries places each block at
+    (a, b) and at (b, a) in the dense (n-1) dim_phi square on first read.
     """
 
     alpha: Partition
@@ -102,30 +103,31 @@ class QMatrix:
     def dim_phi(self) -> int:
         return self.alpha.dimension
 
-    def rows(self) -> Iterator[np.ndarray]:
-        """Block row a of Q from block column a on, for a = 1..n-1.
+    def rows(self) -> Iterator[Iterator[np.ndarray]]:
+        """Block row a of Q from block column a on, one block at a time, for a = 1..n-1.
 
-        Each strip is a (dim_phi, (n-a) dim_phi) array: d I, then phi((a b))
-        for a < b < n-1, computed as phi((a, b+1)) = phi(s_b) phi((a b)) phi(s_b)
-        by sparse gathers, then the block pairing a with the last coset,
-        phi(s_1) (I at n = 3).
+        Row a yields its (dim_phi, dim_phi) blocks (a, a), ..., (a, n-1), each
+        formed as it is read: d I, then phi((a b)) for a < b < n-1, computed as
+        phi((a, b+1)) = phi(s_b) phi((a b)) phi(s_b) by sparse gathers, then
+        the block pairing a with the last coset, phi(s_1) (I at n = 3), one
+        array shared by every row.
         """
         phi = young_orthogonal_rep(self.alpha)
-        w = phi.dim
         m = self.n - 1
-        eye = np.eye(w)
+        eye = np.eye(phi.dim)
         last = phi.left(1, eye) if self.n >= 4 else eye
-        for a in range(1, m + 1):
-            strip = np.empty((w, (m - a + 1) * w))
-            blocks = strip.reshape(w, m - a + 1, w).swapaxes(0, 1)  # blocks[k] is block (a, a+k)
-            blocks[0] = self.d * eye
+
+        def row(a: int) -> Iterator[np.ndarray]:
+            yield self.d * eye
             X = eye
             for b in range(a, m - 1):  # X = phi((a, b+1))
                 X = phi.left(b, X) if b == a else phi.right(phi.left(b, X), b)
-                blocks[b - a + 1] = X
+                yield X
             if a < m:
-                blocks[-1] = last
-            yield strip
+                yield last
+
+        for a in range(1, m + 1):
+            yield row(a)
 
     @cached_property
     def entries(self) -> np.ndarray:
@@ -133,10 +135,9 @@ class QMatrix:
         m, w = self.n - 1, self.dim_phi
         Q = np.empty((m * w, m * w))
         blocks = Q.reshape(m, w, m, w)
-        for a, strip in enumerate(self.rows()):
-            row = strip.reshape(w, m - a, w)
-            blocks[a, :, a:] = row
-            blocks[a:, :, a] = row.swapaxes(0, 1)
+        for a, row in enumerate(self.rows()):
+            for b, block in enumerate(row, start=a):
+                blocks[a, :, b] = blocks[b, :, a] = block
         return Q
 
 
@@ -153,7 +154,7 @@ def build_Q(alpha: Partition, n: int, d: int) -> QMatrix:
 
     Hence block (a, b) is phi((a b)) for a != b < n-1, and the blocks pairing
     a coset with the last one are phi(s_1) (I at n = 3).  The arguments are
-    checked here; QMatrix.rows() forms the blocks one block row at a time.
+    checked here; QMatrix.rows() forms the blocks one at a time, by block rows.
     """
     if alpha.size != n - 2:
         raise ValueError(f"{alpha} does not partition n-2 = {n - 2}")
@@ -263,44 +264,19 @@ def _factors(alpha: Partition, labels: Sequence[Partition],
     return factors
 
 
-# Entries of a coset row's difference from Q that the certificate holds at once
-_CHUNK = 2**14
-
-
-def _deviations(R: np.ndarray, strip: np.ndarray) -> list[float]:
-    """max and -min of R - strip, then of R minus the strip with each block transposed.
-
-    R is one coset row of Y Y^T and strip the matching block row of Q, both
-    (dim_phi, k dim_phi); the strip's blocks transposed, a strided view, are
-    Q's block column.  Both differences are written a chunk of rows at a time
-    into one buffer of at most _CHUNK entries (one row if a row holds more).
-    """
-    blocks = strip.reshape(len(strip), -1, len(strip))
-    pairs = (R, strip), (R.reshape(blocks.shape), blocks.T)
-    step = max(1, _CHUNK // R.shape[1])
-    buf = np.empty((min(step, len(R)), R.shape[1]))
-    deviations = []
-    for start in range(0, len(R), step):
-        for X, S in pairs:
-            x = X[start : start + step]
-            D = np.subtract(x, S[start : start + step], out=buf[: len(x)].reshape(x.shape))
-            deviations += [D.max(), -D.min()]
-    return deviations
-
-
 def build_block(alpha: Partition, n: int, d: int) -> IrrepBlock:
     """Certify the closed-form factors Y_a and drop them; the block holds no array.
 
     The nu of height d + 1 carries eigenvalue 0 and is recorded as dropped.
     The factor from _factors is certified against build_Q, one coset a at a
-    time: its rows R_a = Y_a [Y_a ... Y_{n-1}]^T of Y Y^T are compared with the
-    strip of Q that QMatrix.rows() yields for a, block row a from block column
-    a on, and with that strip's blocks transposed, Q's block column a.  No
-    block forms the dense Q: beside the factors, one strip, one R_a (one GEMM,
-    whose rounding depends on its column count) and one chunk of their
-    difference are held at a time.  The certificate twists the last coset in
-    place as in build_Q; the generators, formed on first read, derive the
-    untwisted factors again.
+    time: its rows R_a = Y_a [Y_a ... Y_{n-1}]^T of Y Y^T, one GEMM (whose
+    rounding depends on its column count), are compared block by block, as
+    QMatrix.rows() yields row a, with each block (a, b) of Q and with that
+    block transposed, Q's block (b, a) read from its mirror.  No block forms
+    the dense Q: beside the factors, one R_a and a few dim_phi^2 blocks of Q
+    and of their differences are held at a time.  The certificate twists the
+    last coset in place as in build_Q; the generators, formed on first read,
+    derive the untwisted factors again.
     InconsistencyError is raised unless max |Y Y^T - Q(alpha)| <= 1e-8 d.
     """
     nus = branch_up(alpha)
@@ -308,13 +284,18 @@ def build_block(alpha: Partition, n: int, d: int) -> IrrepBlock:
     dropped = next((nu for nu in nus if nu.height > d), None)
     eigenvalues = [float(d + col - row) for row, col in (_added_box(alpha, nu) for nu in labels)]
     factors = _factors(alpha, labels, eigenvalues)
-    dim = factors.shape[2]
+    w, dim = factors.shape[1:]
 
     if n >= 4:
         young_orthogonal_rep(alpha).left_in_place(1, factors[-1], np.empty_like(factors[-1]))
-    deviations = []
-    for a, strip in enumerate(build_Q(alpha, n, d).rows()):
-        deviations += _deviations(factors[a] @ factors[a:].reshape(-1, dim).T, strip)
+    deviations, diff = [], np.empty((2, w, w))
+    for a, row in enumerate(build_Q(alpha, n, d).rows()):
+        R = factors[a] @ factors[a:].reshape(-1, dim).T
+        for k, Q_ab in enumerate(row):
+            np.subtract(R[:, k * w : (k + 1) * w], Q_ab, out=diff[0])
+            np.subtract(R[:, k * w : (k + 1) * w], Q_ab.T, out=diff[1])
+            deviations += [diff.max(), -diff.min()]
+        del R  # before R_{a+1} forms
     gram_residual = float(np.max(deviations)) / d
     if not gram_residual <= 1e-8:
         raise InconsistencyError(
@@ -362,16 +343,16 @@ def decompose(n: int, d: int) -> Decomposition:
     # The store is every block's n-1 generators, which every reader but
     # symmetric_max forms.  The largest build holds its (n-1, dim_phi, dim)
     # factors beside one of: _factors' gathered slice or the generators' copy
-    # of Y_a^T, dim_phi dim floats; or two strips of Q, or a strip and a coset
-    # row of Y Y^T, at most 2(n-1) dim_phi^2 floats, with the certificate's
-    # chunk and at most seven dim_phi^2 blocks of the strip recursion.
+    # of Y_a^T, dim_phi dim floats; or the certificate's first coset row of
+    # Y Y^T, (n-1) dim_phi^2 floats, with Q's blocks, the temporaries of their
+    # recursion and the differences, at most ten dim_phi^2 blocks by tracemalloc.
     # Partitions are read lazily, so a size far past the budget is refused at
     # its first blocks.
     m, store, build, alphas = n - 1, 0, 0, []
     for alpha, w, dim in _block_shapes(n, d):
         store += 8 * m * dim * dim
-        build = max(build, 8 * (m * w * dim + max(w * dim, (2 * m + 7) * w * w) + _CHUNK))
-        require_memory(store + build + 2**20, f"decompose({n}, {d})")
+        build = max(build, 8 * (m * w * dim + max(w * dim, (m + 10) * w * w)))
+        require_memory(store + build, f"decompose({n}, {d})")
         alphas.append(alpha)
     blocks = tuple(build_block(a, n, d) for a in alphas)
     return Decomposition(n, d, blocks, tuple(admissible_N_irreps(n, d)))
@@ -405,7 +386,7 @@ def require_json_memory(n: int, d: int) -> None:
     store = 0
     for _, _, dim in _block_shapes(n, d):
         store += 8 * (n - 1) * dim * dim
-        require_memory(6 * store + 2**20, f"the JSON text of decompose({n}, {d})")
+        require_memory(6 * store, f"the JSON text of decompose({n}, {d})")
 
 
 def decomposition_to_dict(dec: Decomposition) -> dict:

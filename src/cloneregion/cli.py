@@ -353,7 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if getattr(args, "n", 3) < 3 or getattr(args, "d", 2) < 2:
+        if not hasattr(args, "n") and args.d < 2:  # convert takes --d alone
+            raise ValueError(f"need --d >= 2, got {args.d}")
+        if getattr(args, "n", 3) < 3 or args.d < 2:
             raise ValueError("need n >= 3 and d >= 2")
         # the gauge g is >= 0, so no point is inside once 1 - tol <= 0; NaN fails both
         if getattr(args, "samples", 1) < 1 or not 0 < getattr(args, "tol", 0.5) < 1:

@@ -59,7 +59,7 @@ def perm_operator(sigma: Permutation, n: int, d: int) -> DenseOperator:
     if sigma.degree != n:
         raise ValueError(f"permutation degree {sigma.degree} != n = {n}")
     dim = d**n
-    require_memory(8 * dim * (dim + n + 2) + 2**20, f"a dense operator on (C^{d})^{n}")
+    require_memory(8 * dim * (dim + n + 2), f"a dense operator on (C^{d})^{n}")
     idx = np.arange(dim)
     digits = [(idx // d ** (n - 1 - leg)) % d for leg in range(n)]
     inv = sigma.inverse()
@@ -79,7 +79,7 @@ def pt_transposition(k: int, n: int, d: int) -> DenseOperator:
     """
     if not 2 <= k <= n:
         raise ValueError(f"k must be in 2..{n}, got {k}")
-    require_memory(8 * d**n * (2 * d**n + n + 2) + 2**20, f"a dense operator on (C^{d})^{n}")
+    require_memory(8 * d**n * (2 * d**n + n + 2), f"a dense operator on (C^{d})^{n}")
     V = perm_operator(Permutation.transposition(1, k, n), n, d).matrix
     T = V.reshape([d] * (2 * n))
     T = np.swapaxes(T, 0, n)  # transpose output leg 1 with input leg 1
@@ -177,7 +177,7 @@ def charge_orbits(n: int, d: int, held: int = 0) -> list[tuple]:
         # the matrices of one chunk, eigvalsh's copy and its workspace; the
         # enumeration, and the entries of the n - 1 X_k
         require_memory(held + 24 * _chunk_rows(size) * size**2
-                       + 8 * size * (8 * (n + d) + (n - 1) * (d + 1)) + 2**20,
+                       + 8 * size * (8 * (n + d) + (n - 1) * (d + 1)),
                        f"the charge sectors of (C^{d})^{n}, at the sector of type {lam.parts} "
                        f"and size {size} (larger ones may follow),")
         out.append((lam, math.perm(d, lam.height) // repeats, size))
@@ -238,7 +238,7 @@ def haar_isometry(d: int, N: int, seed: int) -> ChannelSample:
     with positive R diagonal; bit-reproducible for a fixed seed.
     """
     rows = d**N  # 144 bytes an entry: uniforms, normals, G, its QR and W
-    require_memory(144 * rows * d + 2**20, f"a Haar isometry C^{d} -> (C^{d})^{N}")
+    require_memory(144 * rows * d, f"a Haar isometry C^{d} -> (C^{d})^{N}")
     rng = np.random.Generator(np.random.PCG64(seed))
     count = rows * d
     u = rng.random(4 * count)

@@ -111,7 +111,7 @@ def sample_region(dec: Decomposition, count: int) -> list[RegionSample]:
     # 48 bytes a sampled number: its float and, for the JSON text, its Python
     # float in a row list (40 B measured at (3,2)); text is streamed, never held
     numbers = count * sum(b.dim + dec.clone_count for b in dec.blocks)
-    require_memory(48 * numbers + 2**20, f"{count} samples of each block")
+    require_memory(48 * numbers, f"{count} samples of each block")
     return [sample_block_region(b, count) for b in dec.blocks]
 
 

@@ -13,7 +13,8 @@ ones that replaced them: the Young form with its tableau words grown a letter
 at a time over all prefixes (prefix_orthogonal_rep), the factor recursion
 that allocates each step anew (allocating_factors) and the certificate that
 differences whole strips (whole_strip_residual).  The last two read the
-package's Young form and QMatrix.rows(), as the code they reproduce did.
+package's Young form, and the certificate reads its strips of Q from
+QMatrix.entries.
 
 The oracle's charge sectors are enumerated all at once from index arithmetic
 over every basis state (all_sector_blocks), where the package diagonalizes one
@@ -231,14 +232,17 @@ def whole_strip_residual(alpha: Partition, n: int, d: int, factors: np.ndarray) 
     """max |Y Y^T - Q(alpha)| / d, each coset row against its whole strip and its mirror.
 
     factors are the untwisted ones; a copy of the last coset is twisted by
-    phi(s_1) for n >= 4, and each difference is formed whole.
+    phi(s_1) for n >= 4.  Strip a, block row a of the dense Q from block column
+    a on, is read from QMatrix.entries, and each difference is formed whole.
     """
     factors = factors.copy()
-    dim = factors.shape[2]
+    w, dim = factors.shape[1:]
     if n >= 4:
         factors[-1] = young_orthogonal_rep(alpha).left(1, factors[-1])
+    Q = build_Q(alpha, n, d).entries
     deviations = []
-    for a, strip in enumerate(build_Q(alpha, n, d).rows()):
+    for a in range(n - 1):
+        strip = Q[a * w : (a + 1) * w, a * w :]
         R = factors[a] @ factors[a:].reshape(-1, dim).T
         D = R - strip
         deviations += [D.max(), -D.min()]
@@ -391,7 +395,7 @@ def all_sector_blocks(w: np.ndarray, n: int, d: int):
     an entry joins two sectors.
     """
     # digits, the (n-1) d^n entries and their sorted copies: 10 n + 16 words a state
-    index_bytes = 8 * d**n * (10 * n + 16) + 2**20
+    index_bytes = 8 * d**n * (10 * n + 16)
     require_memory(index_bytes, f"the charge sectors of (C^{d})^{n}")
     w = np.asarray(w, dtype=float)
     idx = np.arange(d**n)

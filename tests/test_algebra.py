@@ -116,13 +116,14 @@ class TestBuildQ:
             for alpha in partitions_of(n - 2, d):
                 Q = build_Q(alpha, n, d)
                 M, w = Q.entries, Q.dim_phi
-                strips = list(Q.rows())
-                assert len(strips) == n - 1
-                for a, strip in enumerate(strips):
-                    np.testing.assert_array_equal(strip, M[a * w : (a + 1) * w, a * w :])
-                    # block (b, a) mirrors block (a, b)
-                    mirrored = strip.reshape(w, -1, w).swapaxes(0, 1).reshape(-1, w)
-                    np.testing.assert_array_equal(M[a * w :, a * w : (a + 1) * w], mirrored)
+                rows = [list(row) for row in Q.rows()]
+                assert [len(row) for row in rows] == list(range(n - 1, 0, -1))
+                for a, row in enumerate(rows):
+                    for b, block in enumerate(row, start=a):
+                        assert block.shape == (w, w)
+                        np.testing.assert_array_equal(block, M[a * w : (a + 1) * w, b * w : (b + 1) * w])
+                        # block (b, a) mirrors block (a, b)
+                        np.testing.assert_array_equal(block, M[b * w : (b + 1) * w, a * w : (a + 1) * w])
                 np.testing.assert_allclose(M, M.T, rtol=0, atol=1e-12)
 
     def test_invalid_args(self):
@@ -224,8 +225,8 @@ class TestBuildBlock:
 
     @pytest.mark.parametrize("n,d", [(4, 2), (5, 4), (6, 8), (8, 4), (10, 5)])
     def test_in_place_build_is_bit_identical(self, n, d):
-        # factors written in place and differences taken in chunks give the
-        # floats of fresh arrays and whole strips
+        # factors written in place and differences taken a block at a time give
+        # the floats of fresh arrays and whole strips
         for alpha in partitions_of(n - 2, d):
             block = build_block(alpha, n, d)
             factors = algebra._factors(alpha, block.labels, block.eigenvalues)
@@ -254,9 +255,9 @@ class TestBuildBlock:
         # a shift of 3/4 breaks Y Y^T = Q far beyond the 1e-8 d certificate
         class Shifted(algebra.QMatrix):
             def rows(self):
-                for strip in super().rows():
-                    strip[:, : self.dim_phi] += 0.75 * np.eye(self.dim_phi)  # the diagonal block
-                    yield strip
+                for row in super().rows():
+                    diagonal = next(row)
+                    yield iter([diagonal + 0.75 * np.eye(self.dim_phi), *row])
 
         monkeypatch.setattr(algebra, "build_Q", Shifted)
         with pytest.raises(InconsistencyError, match="misses Y Y\\^T = Q"):
@@ -277,15 +278,17 @@ class TestBuildBlock:
 
     @pytest.mark.parametrize("alpha", list(partitions_of(4, 3)), ids=str)
     def test_one_lower_triangle_entry_of_Q_is_compared(self, monkeypatch, alpha):
-        # the strips hold Q's upper block triangle only; the entry of the first
-        # strip that entries mirrors to Q[-1, 0], below the diagonal in the last
-        # coset's block row, is perturbed
+        # the rows hold Q's upper block triangle only; entry (dim_phi - 1, 0) of
+        # the first row's last block, which entries mirrors to Q[-1, 0] below the
+        # diagonal in the last coset's block row, is perturbed in a copy
         class Perturbed(algebra.QMatrix):
             def rows(self):
-                for a, strip in enumerate(super().rows()):
+                for a, row in enumerate(super().rows()):
+                    blocks = list(row)
                     if a == 0:
-                        strip[-1, -self.dim_phi] += 1e-3
-                    yield strip
+                        blocks[-1] = blocks[-1].copy()
+                        blocks[-1][-1, 0] += 1e-3
+                    yield iter(blocks)
 
         assert Perturbed(alpha, 6, 3).entries[-1, 0] == build_Q(alpha, 6, 3).entries[-1, 0] + 1e-3
         monkeypatch.setattr(algebra, "build_Q", Perturbed)

@@ -263,6 +263,13 @@ class TestConvert:
         assert code == 2
         assert "singlet" in err
 
+    @pytest.mark.parametrize("d", ["1", "0", "-3"])
+    def test_small_d_names_the_flag(self, capsys, d):
+        # convert takes no --n, so the refusal names --d alone
+        code, out, err = run(capsys, "convert", "--d", d, "--singlet", "0.75")
+        assert code == 2 and out == ""
+        assert err == f"error: need --d >= 2, got {d}\n"
+
     def test_both_arguments(self, capsys):
         code, out, err = run(capsys, "convert", "--singlet", "0.75", "--clone-fidelity", "0.9")
         assert code == 2
